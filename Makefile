@@ -113,10 +113,12 @@ cover-lint:
 # The MAC conformance kit (DESIGN.md section 14): every registered
 # protocol must pass join convergence, the audit laws, fault resilience,
 # the degradation cascade, determinism and worker invariance, plus the
-# cross-protocol differential property. `make test` already includes it;
-# this target runs it alone, verbosely, for MAC work.
+# cross-protocol differential property — plus the lifecycle golden, which
+# pins crash/park/rejoin/degradation behaviour of every protocol bit for
+# bit. `make test` already includes both; this target runs them alone,
+# verbosely, for MAC work.
 mactest:
-	$(GO) test -v -run TestConformance ./internal/mac/mactest
+	$(GO) test -v -run 'TestConformance|TestLifecycleGolden' ./internal/mac/mactest
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

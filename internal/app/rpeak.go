@@ -4,8 +4,8 @@ import (
 	"repro/internal/approx"
 	"repro/internal/codec"
 	"repro/internal/ecg"
+	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/trace"
 )
 
 // RpeakConfig parameterises the on-node beat detection application of
@@ -133,7 +133,7 @@ func (r *Rpeak) onAcquisition(i int64, samples []codec.Sample) {
 				continue
 			}
 			r.beats++
-			r.env.Tracer.Recordf(r.env.Sched.Kernel().Now(), r.env.NodeName, trace.KindBeat,
+			r.env.Tracer.Recordf(r.env.Sched.Kernel().Now(), r.env.NodeName, metrics.KindBeat,
 				"ch=%d lag=%d", ch, lag)
 			r.seq++
 			beat := packet.Beat{Channel: uint8(ch), Lag: uint16(lag), Seq: r.seq}

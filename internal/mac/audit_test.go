@@ -58,7 +58,7 @@ func TestAuditSlotTrip(t *testing.T) {
 	if !n1.Joined() {
 		t.Fatal("node failed to join")
 	}
-	if v := n1.AuditSlot(); len(v) != 0 {
+	if v := n1.AuditProtocol(); len(v) != 0 {
 		t.Fatalf("joined node's slot audit fired: %v", v)
 	}
 	if v := n1.AuditFrame(); len(v) != 0 {
@@ -67,7 +67,7 @@ func TestAuditSlotTrip(t *testing.T) {
 
 	saved := n1.slot
 	n1.slot = 40 // far past any cycle the node has heard
-	v := n1.AuditSlot()
+	v := n1.AuditProtocol()
 	if len(v) == 0 {
 		t.Fatal("out-of-cycle slot not detected")
 	}
@@ -75,7 +75,7 @@ func TestAuditSlotTrip(t *testing.T) {
 		t.Fatalf("slot-overrun detail missing: %v", v)
 	}
 	n1.slot = saved
-	if v := n1.AuditSlot(); len(v) != 0 {
+	if v := n1.AuditProtocol(); len(v) != 0 {
 		t.Fatalf("restored slot still flagged: %v", v)
 	}
 }
@@ -95,14 +95,14 @@ func TestAuditSlotTableTrip(t *testing.T) {
 	if !n1.Joined() || !n2.Joined() {
 		t.Fatal("nodes failed to join")
 	}
-	if v := r.bs.AuditSlotTable(); len(v) != 0 {
+	if v := r.bs.AuditTable(); len(v) != 0 {
 		t.Fatalf("consistent table flagged: %v", v)
 	}
 
 	// Double grant: both nodes pointed at the same slot index.
 	saved := r.bs.nodeSlot[2]
 	r.bs.nodeSlot[2] = r.bs.nodeSlot[1]
-	v := r.bs.AuditSlotTable()
+	v := r.bs.AuditTable()
 	if len(v) == 0 {
 		t.Fatal("double-granted slot not detected")
 	}
@@ -114,12 +114,12 @@ func TestAuditSlotTableTrip(t *testing.T) {
 
 	// Out-of-step maps: a slot entry with no node-map partner.
 	r.bs.slotNode[7] = 9
-	v = r.bs.AuditSlotTable()
+	v = r.bs.AuditTable()
 	if len(v) == 0 {
 		t.Fatal("out-of-step maps not detected")
 	}
 	delete(r.bs.slotNode, 7)
-	if v := r.bs.AuditSlotTable(); len(v) != 0 {
+	if v := r.bs.AuditTable(); len(v) != 0 {
 		t.Fatalf("restored table still flagged: %v", v)
 	}
 }
@@ -143,7 +143,7 @@ func TestResetAccountingCarriesPendingAck(t *testing.T) {
 	// law holds at every later poll.
 	sawCarry := false
 	poll := sim.NewTimer(r.k, func(*sim.Kernel) {
-		if !sawCarry && n1.ackWaiting && n1.Joined() {
+		if !sawCarry && n1.ack.open && n1.Joined() {
 			n1.ResetAccounting()
 			if n1.carrySent != 1 {
 				t.Fatal("reset inside an open ack window did not carry the send")
@@ -164,5 +164,64 @@ func TestResetAccountingCarriesPendingAck(t *testing.T) {
 	}
 	if v := n1.AuditFrame(); len(v) != 0 {
 		t.Fatalf("frame law broken at end of run: %v", v)
+	}
+}
+
+// TestContentionAuditTrips cooks each contention-MAC law into violation:
+// the CSMA channel-access laws, the LPL preamble-sampling laws, and the
+// membership-table bijection the LPL base station shares with TDMA.
+// Every law must name its breach with the exact detail string.
+func TestContentionAuditTrips(t *testing.T) {
+	r := newProtoRig(t, ProtoCSMA, Params{}, 30*sim.Millisecond, 3)
+	cs := r.addNode(1, ProtoCSMA, Params{}).(*CSMANode)
+	if v := cs.AuditProtocol(); len(v) != 0 {
+		t.Fatalf("fresh CSMA node flagged: %v", v)
+	}
+	cs.stats = Stats{CCAAttempts: 2, CCABusy: 3, CCAFails: 4}
+	checkTrips(t, "csma", cs.AuditProtocol(), []string{
+		"CCABusy 3 exceeds CCAAttempts 2",
+		"CCAFails 4 exceeds CCABusy 3",
+	})
+	cs.stats = Stats{CCAAttempts: 3, CCABusy: 1, DataSent: 4}
+	cs.attemptActive = true
+	cs.be = cs.maxBE + 1
+	cs.nb = cs.maxBackoffs + 1
+	checkTrips(t, "csma", cs.AuditProtocol(), []string{
+		"4 bursts exceed 2 clear assessments (+1 straddle credit)",
+		"backoff exponent 6 outside [3,5]",
+		"attempt alive after 5 busy verdicts (max 4)",
+	})
+
+	lr := newProtoRig(t, ProtoLPL, Params{}, 0, 3)
+	ln := lr.addNode(1, ProtoLPL, Params{}).(*LPLNode)
+	ln.stats = Stats{EarlyAcks: 5, StrobesSent: 1, DataSent: 30, StrobeFails: 100}
+	ln.gap.open = true
+	checkTrips(t, "lpl", ln.AuditProtocol(), []string{
+		"EarlyAcks 5 exceed StrobesSent 1 (+1 straddle credit)",
+		"30 payloads exceed 5 early acks × burst 4 (+1 straddle credit)",
+		"StrobeFails 100 imply more than the 1 strobes sent",
+		"strobe gap open with no active train",
+	})
+
+	bs := lr.bs.(*LPLBS)
+	bs.nodeSlot[1] = 0
+	bs.nodeSlot[2] = 99
+	checkTrips(t, "lpl-bs", bs.AuditTable(), []string{
+		"member maps out of step: 2 nodes, 0 indices",
+		"member index 0 granted to node 1 but the index map names node 0",
+		"node 2 holds out-of-range member index 99",
+	})
+}
+
+// checkTrips asserts got names every wanted breach, in order.
+func checkTrips(t *testing.T, who string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d violations, want %d: %q", who, len(got), len(want), got)
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Errorf("%s: violation %d = %q, want it to mention %q", who, i, got[i], w)
+		}
 	}
 }

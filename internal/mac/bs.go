@@ -5,12 +5,12 @@ import (
 	"sort"
 
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // BSConfig parameterises the base-station MAC.
@@ -76,57 +76,306 @@ type grant struct {
 	left  int // beacons remaining
 }
 
-// BS is the base station: it regulates the TDMA timing by broadcasting
-// beacons, receives the nodes' data (acknowledging each frame), and
-// assigns slots in answer to slot requests.
-type BS struct {
+// tableWords names a protocol's association index in trace details and
+// audit messages: a TDMA slot, or a contention MAC's member index.
+type tableWords struct {
+	label    string // trace detail key ("slot", "member")
+	index    string // audit noun for one index
+	entries  string // audit noun for the index set
+	indexMap string // audit name of the index→node map
+}
+
+var (
+	slotWords   = tableWords{label: "slot", index: "slot", entries: "slots", indexMap: "slot map"}
+	memberWords = tableWords{label: "member", index: "member index", entries: "indices", indexMap: "index map"}
+)
+
+// bsCore is the base-station state every protocol shares: the stack
+// handles, the membership table (a node↔index bijection with silence
+// aging and reclaim), and the received-frame log.
+type bsCore struct {
 	k      *sim.Kernel
 	cfg    BSConfig
 	sched  *tinyos.Sched
 	radio  *radio.Radio
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
+	words  tableWords
 
-	t0       sim.Time // air-start of the current beacon
-	cycle    sim.Time // current cycle length
-	seq      uint16
 	maxSlots int
-
 	nodeSlot map[uint8]int
 	slotNode map[int]uint8
-	grants   []grant
-	// silent counts consecutive beacon cycles without a data frame from
-	// each joined node, for slot reclamation.
+	// silent counts consecutive regulation periods (beacon cycles, probe
+	// intervals) without a frame from each member, for reclaim.
 	silent map[uint8]int
-	// needCompact defers dynamic-slot renumbering after a voluntary
-	// release to the next beacon build (a safe point for the timing map).
-	needCompact bool
 
 	onData   func(rec RxRecord)
 	received []RxRecord
 	stats    BSStats
 	started  bool
+	// ackBuf is marshal scratch for acknowledgements; it backs at most
+	// one loaded frame at a time.
+	ackBuf []byte
+	// ackFlown runs once a data acknowledgement has flown, returning the
+	// receiver to the protocol's listening state; bound at construction.
+	ackFlown func()
+	// inBeaconPrep marks a beaconed base station's SB region: from beacon
+	// preparation until the beacon has flown, the radio is owned by the
+	// beacon path and data acknowledgements are suppressed (the sender
+	// retries).
+	inBeaconPrep bool
+}
+
+// newBSCore binds the shared base-station state; cfg.MaxSlots must
+// already hold the protocol's admission cap.
+func newBSCore(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
+	ledger *energy.Ledger, tracer *metrics.Recorder, words tableWords) bsCore {
+	if cfg.Plan == (packet.AddressPlan{}) {
+		cfg.Plan = packet.DefaultPlan()
+	}
+	return bsCore{
+		k:        k,
+		cfg:      cfg,
+		sched:    sched,
+		radio:    r,
+		ledger:   ledger,
+		tracer:   tracer,
+		words:    words,
+		maxSlots: cfg.MaxSlots,
+		nodeSlot: make(map[uint8]int),
+		slotNode: make(map[int]uint8),
+		silent:   make(map[uint8]int),
+	}
+}
+
+// OnData registers a callback for each accepted data frame (the "forward
+// to the PC/PDA" hook).
+func (b *bsCore) OnData(fn func(rec RxRecord)) { b.onData = fn }
+
+// Received returns the accepted data frames in arrival order.
+func (b *bsCore) Received() []RxRecord { return b.received }
+
+// Stats returns a copy of the counters.
+func (b *bsCore) Stats() BSStats { return b.stats }
+
+// ResetAccounting zeroes statistics and the received-frame log.
+func (b *bsCore) ResetAccounting() {
+	b.stats = BSStats{}
+	b.received = nil
+}
+
+// Nodes reports the member node IDs in index order.
+func (b *bsCore) Nodes() []uint8 {
+	idxs := b.indices()
+	out := make([]uint8, 0, len(idxs))
+	for _, i := range idxs {
+		out = append(out, b.slotNode[i])
+	}
+	return out
+}
+
+// indices lists the assigned indices in ascending order.
+func (b *bsCore) indices() []int {
+	idxs := make([]int, 0, len(b.slotNode))
+	for i := range b.slotNode {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	return idxs
+}
+
+// memberIDs lists the member node IDs in ascending order.
+func (b *bsCore) memberIDs() []uint8 {
+	ids := make([]uint8, 0, len(b.nodeSlot))
+	for id := range b.nodeSlot {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// listen turns the receiver on for the node-to-base addresses.
+func (b *bsCore) listen() {
+	b.radio.SetRxAddresses(b.cfg.Plan.BSData, b.cfg.Plan.BSCtrl)
+	b.radio.StartRx()
+}
+
+// markStarted guards against a second Start.
+func (b *bsCore) markStarted() {
+	if b.started {
+		panic("mac: base station started twice")
+	}
+	b.started = true
+}
+
+// admit answers a join request: a member keeps its index, a newcomer
+// takes the lowest free one. ok is false (and the rejection counted)
+// when the table is full — "once reached the limit no other nodes are
+// accepted"; added reports a newcomer.
+func (b *bsCore) admit(id uint8) (idx int, added, ok bool) {
+	delete(b.silent, id)
+	if idx, ok := b.nodeSlot[id]; ok {
+		return idx, false, true
+	}
+	if len(b.nodeSlot) >= b.maxSlots {
+		b.stats.SSRRejected++
+		return 0, false, false
+	}
+	idx = b.nextFree()
+	b.nodeSlot[id] = idx
+	b.slotNode[idx] = id
+	return idx, true, true
+}
+
+// nextFree returns the lowest unassigned index.
+func (b *bsCore) nextFree() int {
+	for i := 0; ; i++ {
+		if _, used := b.slotNode[i]; !used {
+			return i
+		}
+	}
+}
+
+// release drops id from the table, reporting the index it held.
+func (b *bsCore) release(id uint8) (int, bool) {
+	idx, ok := b.nodeSlot[id]
+	if !ok {
+		return 0, false
+	}
+	delete(b.nodeSlot, id)
+	delete(b.slotNode, idx)
+	delete(b.silent, id)
+	return idx, true
+}
+
+// reclaimSilent ages every member's silence counter by one regulation
+// period and retires members silent for ReclaimAfter consecutive periods
+// (0 disables — the right setting for applications that legitimately
+// send less than once per period). It reports whether any was retired.
+func (b *bsCore) reclaimSilent() bool {
+	if b.cfg.ReclaimAfter <= 0 || len(b.nodeSlot) == 0 {
+		return false
+	}
+	reclaimed := false
+	for _, id := range b.memberIDs() {
+		b.silent[id]++
+		if b.silent[id] < b.cfg.ReclaimAfter {
+			continue
+		}
+		idx, _ := b.release(id)
+		reclaimed = true
+		b.stats.SlotsReclaimed++
+		b.tracer.Recordf(b.k.Now(), "bs", metrics.KindSlotReclaim,
+			"node=%d %s=%d after=%d", id, b.words.label, idx, b.cfg.ReclaimAfter)
+	}
+	return reclaimed
+}
+
+// headerSender attributes a contention data frame by its one-byte
+// sender-ID header; frames too short to carry one, or from non-members,
+// are counted as strays.
+func (b *bsCore) headerSender(payload []byte) (uint8, bool) {
+	if len(payload) <= packet.DataHeaderBytes {
+		b.stats.StrayFrames++
+		return 0, false
+	}
+	id := payload[0]
+	if _, member := b.nodeSlot[id]; !member {
+		b.stats.StrayFrames++
+		return 0, false
+	}
+	return id, true
+}
+
+// accept logs a data frame from member node: its silence clears and the
+// payload joins the received log.
+func (b *bsCore) accept(node uint8, payload []byte) RxRecord {
+	delete(b.silent, node)
+	rec := RxRecord{Node: node, Payload: append([]byte(nil), payload...), At: b.k.Now()}
+	b.received = append(b.received, rec)
+	b.stats.DataReceived++
+	b.tracer.Recordf(b.k.Now(), "bs", metrics.KindDataRx, "node=%d len=%d", node, len(payload))
+	return rec
+}
+
+// ackData acknowledges node's data frame after the turnaround task, then
+// hands rec to the data sink. The forwarding task is posted only once
+// the ack is on its way, so it cannot delay the FIFO load past the
+// sender's listen window.
+func (b *bsCore) ackData(node uint8, rec RxRecord) {
+	p := b.cfg.Profile
+	b.sched.Interrupt("bs-ack-turnaround", p.Cost.BSAckTurnaround, func() {
+		if b.inBeaconPrep {
+			return
+		}
+		b.radio.Standby()
+		b.ackBuf = packet.Ack{}.AppendMarshal(b.ackBuf[:0])
+		b.radio.Load(b.cfg.Plan.NodeAddr(node), b.ackBuf, func() {
+			b.radio.Fire(func() {
+				b.stats.AcksSent++
+				b.ackFlown()
+			})
+			// Forwarding to the collecting device, off the fast path.
+			b.sched.PostFn("bs-data-handle", p.Cost.BSDataHandle, func() {
+				if b.onData != nil {
+					b.onData(rec)
+				}
+			})
+		})
+	})
+}
+
+// AuditTable checks that the membership maps are inverse bijections with
+// every index inside the admission cap, returning a detail string per
+// broken law.
+func (b *bsCore) AuditTable() []string {
+	var v []string
+	w := b.words
+	if len(b.nodeSlot) != len(b.slotNode) {
+		v = append(v, fmt.Sprintf("%s maps out of step: %d nodes, %d %s",
+			w.label, len(b.nodeSlot), len(b.slotNode), w.entries))
+	}
+	for _, id := range b.memberIDs() {
+		idx := b.nodeSlot[id]
+		if idx < 0 || idx >= b.maxSlots {
+			v = append(v, fmt.Sprintf("node %d holds out-of-range %s %d (max %d)",
+				id, w.index, idx, b.maxSlots))
+			continue
+		}
+		if holder, ok := b.slotNode[idx]; !ok || holder != id {
+			v = append(v, fmt.Sprintf("%s %d granted to node %d but the %s names node %d",
+				w.index, idx, id, w.indexMap, holder))
+		}
+	}
+	return v
+}
+
+// BS is the base station: it regulates the TDMA timing by broadcasting
+// beacons, receives the nodes' data (acknowledging each frame), and
+// assigns slots in answer to slot requests.
+type BS struct {
+	bsCore
+
+	t0     sim.Time // air-start of the current beacon
+	cycle  sim.Time // current cycle length
+	seq    uint16
+	grants []grant
+	// needCompact defers dynamic-slot renumbering after a voluntary
+	// release to the next beacon build (a safe point for the timing map).
+	needCompact bool
 	// idHeader switches data-frame sender attribution from slot timing to
 	// the one-byte sender-ID header contention MACs prepend (set by the
 	// CSMA wrapper; a contention sender may transmit at any offset).
 	idHeader bool
-	// inBeaconPrep marks the SB region: from beacon preparation until
-	// the beacon has flown, the radio is owned by the beacon path and
-	// data acknowledgements are suppressed (the sender retries).
-	inBeaconPrep bool
-	// beaconBuf and ackBuf are marshal scratch for the two BS-originated
-	// packet kinds, reused across cycles so the steady-state beacon/ack
-	// path allocates nothing. Each buffer backs at most one loaded frame
-	// at a time: the inBeaconPrep guard keeps beacon and ack loads from
-	// overlapping, and a new marshal only happens after the previous
-	// frame has flown.
+	// beaconBuf is marshal scratch for the beacon, reused across cycles
+	// so the steady-state beacon/ack path allocates nothing. The
+	// inBeaconPrep guard keeps beacon and ack loads from overlapping.
 	beaconBuf []byte
-	ackBuf    []byte
 }
 
 // NewBS wires a base station over its radio and OS.
 func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *BS {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
 	if cfg.MaxSlots <= 0 {
 		if cfg.Variant == Dynamic {
 			cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
@@ -140,88 +389,24 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	if cfg.Variant == Static && cfg.StaticCycle <= 0 {
 		panic("mac: static base station needs a cycle length")
 	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
-	bs := &BS{
-		k:        k,
-		cfg:      cfg,
-		sched:    sched,
-		radio:    r,
-		ledger:   ledger,
-		tracer:   tracer,
-		maxSlots: cfg.MaxSlots,
-		nodeSlot: make(map[uint8]int),
-		slotNode: make(map[int]uint8),
-		silent:   make(map[uint8]int),
-	}
+	bs := &BS{bsCore: newBSCore(k, cfg, sched, r, ledger, tracer, slotWords)}
+	bs.ackFlown = bs.listen
 	r.SetReceiveHandler(bs.onFrame)
 	return bs
 }
 
-// OnData registers a callback for each accepted data frame (the "forward
-// to the PC/PDA" hook).
-func (bs *BS) OnData(fn func(rec RxRecord)) { bs.onData = fn }
-
-// Received returns the accepted data frames in arrival order.
-func (bs *BS) Received() []RxRecord { return bs.received }
-
-// Stats returns a copy of the counters.
-func (bs *BS) Stats() BSStats { return bs.stats }
-
 // CycleLength reports the current TDMA cycle.
 func (bs *BS) CycleLength() sim.Time { return bs.currentCycle() }
 
-// Nodes reports the joined node IDs in slot order.
-func (bs *BS) Nodes() []uint8 {
-	slots := make([]int, 0, len(bs.slotNode))
-	for s := range bs.slotNode {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	out := make([]uint8, 0, len(slots))
-	for _, s := range slots {
-		out = append(out, bs.slotNode[s])
-	}
-	return out
-}
-
-// AuditSlotTable checks the slot-assignment invariants and returns a
-// detail string per broken law (nil when the table is consistent): the
-// node→slot and slot→node maps are inverse bijections, every slot index
-// is in range, a dynamic table with no compaction pending is dense (the
-// cycle only covers indices 0..n-1), and every advertised static grant
-// matches the table. A violation means a join, release or reclaim path
-// granted the same slot twice or left the maps out of step.
-func (bs *BS) AuditSlotTable() []string {
-	var v []string
-	if len(bs.nodeSlot) != len(bs.slotNode) {
-		v = append(v, fmt.Sprintf("slot maps out of step: %d nodes, %d slots",
-			len(bs.nodeSlot), len(bs.slotNode)))
-	}
-	ids := make([]uint8, 0, len(bs.nodeSlot))
-	for id := range bs.nodeSlot {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		slot := bs.nodeSlot[id]
-		if slot < 0 || slot >= bs.maxSlots {
-			v = append(v, fmt.Sprintf("node %d holds out-of-range slot %d (max %d)",
-				id, slot, bs.maxSlots))
-			continue
-		}
-		if holder, ok := bs.slotNode[slot]; !ok || holder != id {
-			v = append(v, fmt.Sprintf("slot %d granted to node %d but the slot map names node %d",
-				slot, id, holder))
-		}
-	}
-	slots := make([]int, 0, len(bs.slotNode))
-	for s := range bs.slotNode {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	for _, s := range slots {
+// AuditTable implements BSMAC: beyond the membership bijection, every
+// slot names a node that points back at it, a dynamic table with no
+// compaction pending is dense (the cycle only covers indices 0..n-1),
+// and every advertised static grant matches the table. A violation means
+// a join, release or reclaim path granted the same slot twice or left
+// the maps out of step.
+func (bs *BS) AuditTable() []string {
+	v := bs.bsCore.AuditTable()
+	for _, s := range bs.indices() {
 		id := bs.slotNode[s]
 		if back, ok := bs.nodeSlot[id]; !ok || back != s {
 			v = append(v, fmt.Sprintf("slot %d names node %d but the node map points at slot %d",
@@ -245,26 +430,12 @@ func (bs *BS) AuditSlotTable() []string {
 	return v
 }
 
-// AuditTable implements BSMAC: the TDMA base station's association
-// bookkeeping is the slot table.
-func (bs *BS) AuditTable() []string { return bs.AuditSlotTable() }
-
-// ResetAccounting zeroes statistics and the received-frame log.
-func (bs *BS) ResetAccounting() {
-	bs.stats = BSStats{}
-	bs.received = nil
-}
-
 // Start begins the beacon cycle. The first beacon flies one cycle after
 // Start so nodes powered on at t=0 are already listening.
 func (bs *BS) Start() {
-	if bs.started {
-		panic("mac: base station started twice")
-	}
-	bs.started = true
+	bs.markStarted()
 	bs.cycle = bs.currentCycle()
-	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-	bs.radio.StartRx()
+	bs.listen()
 	bs.scheduleBeacon(bs.k.Now() + bs.cycle)
 }
 
@@ -308,7 +479,12 @@ func (bs *BS) prepareBeacon(fireAt sim.Time) {
 	bs.inBeaconPrep = true
 	bs.radio.Standby() // stop listening; the SB slot begins
 	bs.sched.Interrupt("bs-beacon-build", p.Cost.BSBeaconBuild, func() {
-		bs.reclaimSilent()
+		if bs.reclaimSilent() {
+			bs.pruneGrants()
+			if bs.cfg.Variant == Dynamic {
+				bs.compactSlots()
+			}
+		}
 		if bs.needCompact {
 			bs.compactSlots()
 			bs.needCompact = false
@@ -330,10 +506,9 @@ func (bs *BS) prepareBeacon(fireAt sim.Time) {
 			bs.radio.Fire(func() {
 				bs.inBeaconPrep = false
 				bs.stats.BeaconsSent++
-				bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindBeaconTx,
+				bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindBeaconTx,
 					"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
-				bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-				bs.radio.StartRx()
+				bs.listen()
 				// The burst just ended; its air start is the reference.
 				bs.t0 = bs.k.Now() - p.Radio.Airtime(b.EncodedBytes())
 				bs.scheduleBeacon(bs.t0 + bs.cycle)
@@ -359,60 +534,29 @@ func (bs *BS) prepareBeacon(fireAt sim.Time) {
 	})
 }
 
-// reclaimSilent ages every joined node's silence counter and frees the
-// slots of nodes silent for ReclaimAfter consecutive beacon cycles. It
-// runs in the beacon-build task, before the cycle length is recomputed,
-// so a dynamic cycle shrinks on the very beacon that drops the node. In
-// the dynamic variant the surviving slots are renumbered densely (the
-// cycle only covers indices 0..n-1 and every beacon carries the full
-// table, so survivors pick up their new index from the next beacon); in
-// the static variant the freed index simply returns to the grant pool.
-func (bs *BS) reclaimSilent() {
-	if bs.cfg.ReclaimAfter <= 0 || len(bs.nodeSlot) == 0 {
-		return
-	}
-	ids := make([]uint8, 0, len(bs.nodeSlot))
-	for id := range bs.nodeSlot {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	reclaimed := false
-	for _, id := range ids {
-		bs.silent[id]++
-		if bs.silent[id] < bs.cfg.ReclaimAfter {
-			continue
+// pruneGrants drops pending grant advertisements for nodes that left
+// the table (reclaimed or released). Silence reclaim runs in the
+// beacon-build task, before the cycle length is recomputed, so a dynamic
+// cycle shrinks on the very beacon that drops the node; there the
+// surviving slots are renumbered densely (the cycle only covers indices
+// 0..n-1 and every beacon carries the full table, so survivors pick up
+// their new index from the next beacon), while a static index simply
+// returns to the grant pool.
+func (bs *BS) pruneGrants() {
+	live := bs.grants[:0]
+	for _, g := range bs.grants {
+		if _, member := bs.nodeSlot[g.entry.NodeID]; member {
+			live = append(live, g)
 		}
-		slot := bs.nodeSlot[id]
-		delete(bs.nodeSlot, id)
-		delete(bs.slotNode, slot)
-		delete(bs.silent, id)
-		reclaimed = true
-		bs.stats.SlotsReclaimed++
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotReclaim,
-			"node=%d slot=%d after=%d", id, slot, bs.cfg.ReclaimAfter)
-		// Drop any pending grant advertisements for the dead node.
-		live := bs.grants[:0]
-		for _, g := range bs.grants {
-			if g.entry.NodeID != id {
-				live = append(live, g)
-			}
-		}
-		bs.grants = live
 	}
-	if reclaimed && bs.cfg.Variant == Dynamic {
-		bs.compactSlots()
-	}
+	bs.grants = live
 }
 
 // compactSlots renumbers the surviving dynamic slots densely, preserving
 // their order. Without this a survivor's slot index could exceed the
 // shrunk cycle and its transmissions would land outside the frame.
 func (bs *BS) compactSlots() {
-	slots := make([]int, 0, len(bs.slotNode))
-	for s := range bs.slotNode {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
+	slots := bs.indices()
 	nodeSlot := make(map[uint8]int, len(slots))
 	slotNode := make(map[int]uint8, len(slots))
 	for i, s := range slots {
@@ -467,23 +611,14 @@ func (bs *BS) onFrame(f packet.Frame) {
 // silence-reclaim window.
 func (bs *BS) handleRelease(rel packet.Release) {
 	bs.sched.PostFn("bs-slot-release", bs.cfg.Profile.Cost.BSSlotAssign, func() {
-		slot, exists := bs.nodeSlot[rel.NodeID]
+		slot, exists := bs.release(rel.NodeID)
 		if !exists {
 			return // duplicate or stale release
 		}
-		delete(bs.nodeSlot, rel.NodeID)
-		delete(bs.slotNode, slot)
-		delete(bs.silent, rel.NodeID)
 		bs.stats.SlotsReleased++
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotRelease,
+		bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindSlotRelease,
 			"node=%d slot=%d", rel.NodeID, slot)
-		live := bs.grants[:0]
-		for _, g := range bs.grants {
-			if g.entry.NodeID != rel.NodeID {
-				live = append(live, g)
-			}
-		}
-		bs.grants = live
+		bs.pruneGrants()
 		// Compaction is deferred to the next beacon build: renumbering
 		// now would misattribute frames from survivors that still
 		// transmit in their old slot indices for the rest of this cycle.
@@ -498,23 +633,15 @@ func (bs *BS) handleRelease(rel packet.Release) {
 func (bs *BS) handleSSR(ssr packet.SSR) {
 	bs.stats.SSRReceived++
 	bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, func() {
-		delete(bs.silent, ssr.NodeID)
-		slot, exists := bs.nodeSlot[ssr.NodeID]
-		if !exists {
-			if len(bs.nodeSlot) >= bs.maxSlots {
-				// "Once reached the limit no other nodes are accepted."
-				bs.stats.SSRRejected++
-				return
-			}
-			slot = bs.nextFreeSlot()
-			bs.nodeSlot[ssr.NodeID] = slot
-			bs.slotNode[slot] = ssr.NodeID
-			if bs.cfg.Variant == Dynamic {
-				bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindCycleGrow,
-					"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
-			}
+		slot, added, ok := bs.admit(ssr.NodeID)
+		if !ok {
+			return
 		}
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotGrant,
+		if added && bs.cfg.Variant == Dynamic {
+			bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindCycleGrow,
+				"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
+		}
+		bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindSlotGrant,
 			"node=%d slot=%d", ssr.NodeID, slot)
 		if bs.cfg.Variant == Static {
 			bs.grants = append(bs.grants, grant{
@@ -525,15 +652,6 @@ func (bs *BS) handleSSR(ssr packet.SSR) {
 	})
 }
 
-// nextFreeSlot returns the lowest unassigned slot index.
-func (bs *BS) nextFreeSlot() int {
-	for s := 0; ; s++ {
-		if _, used := bs.slotNode[s]; !used {
-			return s
-		}
-	}
-}
-
 // handleData identifies the sender — from the slot timing under TDMA,
 // from the sender-ID header under contention access — acknowledges the
 // frame and hands it to the data sink.
@@ -541,62 +659,27 @@ func (bs *BS) handleData(payload []byte) {
 	p := bs.cfg.Profile
 	var node uint8
 	if bs.idHeader {
-		if len(payload) <= packet.DataHeaderBytes {
-			bs.stats.StrayFrames++
-			return
-		}
-		id := payload[0]
-		if _, member := bs.nodeSlot[id]; !member {
-			bs.stats.StrayFrames++
+		id, ok := bs.headerSender(payload)
+		if !ok {
 			return
 		}
 		node = id
 		payload = payload[packet.DataHeaderBytes:]
 	} else {
 		airStart := bs.radio.LastRxFrameEnd() - p.Radio.Airtime(len(payload))
-		offset := airStart - bs.t0
-		slotDur := bs.slotDuration()
-		slot := int(offset/slotDur) - 1
-		known := false
-		node, known = bs.slotNode[slot]
-		if !known {
+		slot := int((airStart-bs.t0)/bs.slotDuration()) - 1
+		var known bool
+		if node, known = bs.slotNode[slot]; !known {
 			bs.stats.StrayFrames++
 			return
 		}
 	}
-	delete(bs.silent, node)
-	rec := RxRecord{Node: node, Payload: append([]byte(nil), payload...), At: bs.k.Now()}
-	bs.received = append(bs.received, rec)
-	bs.stats.DataReceived++
-	bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", node, len(payload))
-
-	// Fast-path acknowledgement: turn the radio around immediately; the
-	// deferred forwarding task is posted only once the ack is on its way
-	// so it cannot delay the FIFO load past the node's listen window.
-	// During beacon preparation the radio belongs to the beacon path and
-	// the ack is suppressed — a desynchronised sender transmitting into
-	// the SB region simply retries.
-	if bs.inBeaconPrep {
-		return
+	rec := bs.accept(node, payload)
+	// Fast-path acknowledgement, except during beacon preparation: the
+	// radio then belongs to the beacon path and the ack is suppressed — a
+	// desynchronised sender transmitting into the SB region simply
+	// retries.
+	if !bs.inBeaconPrep {
+		bs.ackData(node, rec)
 	}
-	bs.sched.Interrupt("bs-ack-turnaround", p.Cost.BSAckTurnaround, func() {
-		if bs.inBeaconPrep {
-			return
-		}
-		bs.radio.Standby()
-		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.NodeAddr(node), bs.ackBuf, func() {
-			bs.radio.Fire(func() {
-				bs.stats.AcksSent++
-				bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-				bs.radio.StartRx()
-			})
-			// Forwarding to the collecting device, off the fast path.
-			bs.sched.PostFn("bs-data-handle", p.Cost.BSDataHandle, func() {
-				if bs.onData != nil {
-					bs.onData(rec)
-				}
-			})
-		})
-	})
 }

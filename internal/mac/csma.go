@@ -3,13 +3,12 @@ package mac
 import (
 	"fmt"
 
-	"repro/internal/approx"
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Slotted CSMA/CA: the base station keeps the beacon cadence of the
@@ -39,106 +38,33 @@ const (
 	DefaultCSMACycle = 30 * sim.Millisecond
 )
 
-// csmaOp names the frame a contention attempt is trying to put on air.
-type csmaOp int
-
-const (
-	csmaOpNone csmaOp = iota
-	csmaOpSSR
-	csmaOpData
-	csmaOpRelease
-)
-
-// CSMANode is the sensor-node side of the slotted CSMA/CA protocol.
+// CSMANode is the sensor-node side of the slotted CSMA/CA protocol: the
+// beaconed lifecycle core plus one backoff/CCA attempt per beacon cycle.
 type CSMANode struct {
-	k      *sim.Kernel
-	cfg    NodeConfig
-	name   string
-	sched  *tinyos.Sched
-	radio  *radio.Radio
-	ledger *energy.Ledger
-	tracer *trace.Recorder
+	beaconCore
 
 	minBE       int
 	maxBE       int
 	maxBackoffs int
 
-	state    nodeState
-	t0       sim.Time // air-start instant of the current cycle's beacon
-	cycle    sim.Time // cycle length from the latest beacon
-	member   int      // association index granted by the base station
-	onJoined []func()
-	gen      uint64
-
-	joinedSince sim.Time
-	joinedAccum sim.Time
-	joinedEver  bool
-	rejoinArmed bool
-	rejoinFrom  sim.Time
-
-	queue    []txItem
-	loading  bool
-	loaded   bool
-	inFlight *txItem
-	op       csmaOp
-	// dataBuf/ctrlBuf are marshal scratch: the sender-ID header plus
-	// payload, and the control frames (SSR, Release).
+	op txOp
+	// dataBuf is marshal scratch for the sender-ID header plus payload.
 	dataBuf []byte
-	ctrlBuf []byte
 
 	// Contention attempt state (one attempt machine per node).
 	attemptActive bool
 	nb            int // busy verdicts consumed by this attempt
 	be            int // current backoff exponent
-
-	missed        int
-	windowOpenAt  sim.Time
-	windowTimeout sim.EventID
-	windowActive  bool
-	ackOpenAt     sim.Time
-	ackTimeout    sim.EventID
-	ackWaiting    bool
-	joinListenAt  sim.Time
-	ssrNonce      uint16
-
-	stretchEvery   int
-	stretchCount   uint64
-	beaconOnly     bool
-	releasePending bool
-
-	stats     Stats
-	carrySent uint64
-
-	controlRxTime sim.Time
-	controlTxTime sim.Time
-	joinIdleTime  sim.Time
 }
 
 // NewCSMANode wires a CSMA/CA node MAC over its radio and OS. Zero
 // Params fields select the documented defaults.
 func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *CSMANode {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
+	ledger *energy.Ledger, tracer *metrics.Recorder) *CSMANode {
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}
 	m := &CSMANode{
-		k:           k,
-		cfg:         cfg,
-		name:        r.Name(),
-		sched:       sched,
-		radio:       r,
-		ledger:      ledger,
-		tracer:      tracer,
-		member:      -1,
 		minBE:       cfg.Params.MinBE,
 		maxBE:       cfg.Params.MaxBE,
 		maxBackoffs: cfg.Params.MaxBackoffs,
@@ -152,417 +78,65 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	if m.maxBackoffs == 0 {
 		m.maxBackoffs = defaultMaxBackoffs
 	}
+	m.beaconCore = beaconCore{nodeCore: newNodeCore(k, cfg, sched, r, ledger, tracer, m), access: m, slot: -1}
+	// Static-TDMA beacon timing: the same guard, parse cost and beacon
+	// sizing (base payload plus a bounded number of join grants).
+	p := cfg.Profile
+	m.guard = p.MAC.StaticGuard
+	m.parseCycles = p.Cost.BeaconParseStatic
+	m.beaconMax = p.MAC.BeaconBasePayloadBytes + p.MAC.GrantEntryBytes*2
+	m.yieldToTx = true
+	m.dataHeader = packet.DataHeaderBytes
 	r.SetReceiveHandler(m.onFrame)
 	return m
 }
 
-// Start implements Mac: listen continuously for a first beacon.
-func (m *CSMANode) Start() {
-	m.state = stateSearching
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
-	if m.joinedEver && !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-}
-
-// OnJoined implements Mac.
-func (m *CSMANode) OnJoined(fn func()) { m.onJoined = append(m.onJoined, fn) }
-
-// Joined implements Mac.
-func (m *CSMANode) Joined() bool { return m.state == stateJoined }
-
-// Slot implements Mac: the association index the base station granted
-// (there is no slot schedule; the index only names the membership).
-func (m *CSMANode) Slot() int { return m.member }
-
-// CycleLength implements Mac.
-func (m *CSMANode) CycleLength() sim.Time { return m.cycle }
-
-// Stats implements Mac.
-func (m *CSMANode) Stats() Stats { return m.stats }
-
-// ControlRxTime reports receiver-on time spent in control windows
-// (beacon listening, CCA windows, ack listening).
-func (m *CSMANode) ControlRxTime() sim.Time { return m.controlRxTime }
-
-// ControlTxTime reports transmit time spent on control frames.
-func (m *CSMANode) ControlTxTime() sim.Time { return m.controlTxTime }
-
-// JoinIdleTime reports the continuous-listen time burned while searching
-// for the network.
-func (m *CSMANode) JoinIdleTime() sim.Time { return m.joinIdleTime }
-
-// Generation reports the crash generation counter.
-func (m *CSMANode) Generation() uint64 { return m.gen }
-
-// ResetAccounting zeroes statistics and loss accumulators (post-warmup).
-func (m *CSMANode) ResetAccounting() {
-	m.stats = Stats{}
-	m.carrySent = 0
-	if m.ackWaiting {
-		m.carrySent = 1
-	}
-	m.controlRxTime = 0
-	m.controlTxTime = 0
-	m.joinIdleTime = 0
-	m.joinedAccum = 0
-	if m.state == stateJoined {
-		m.joinedSince = m.k.Now()
-	}
-}
-
-// JoinedTime reports cumulative association time since the last reset.
-func (m *CSMANode) JoinedTime() sim.Time {
-	t := m.joinedAccum
-	if m.state == stateJoined {
-		t += m.k.Now() - m.joinedSince
-	}
-	return t
-}
-
-func (m *CSMANode) noteLeftSlot() {
-	if m.state == stateJoined {
-		m.joinedAccum += m.k.Now() - m.joinedSince
-	}
-}
-
-// Crash implements NodeMAC (see NodeMac.Crash for the model).
-func (m *CSMANode) Crash() {
-	m.gen++
-	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
-		m.windowActive = false
-	}
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateCrashed
-	m.member = -1
-	m.missed = 0
-	m.queue = nil
-	m.loading = false
-	m.loaded = false
-	m.inFlight = nil
-	m.op = csmaOpNone
+// resetAccess implements accessPolicy: abandon the attempt machine.
+func (m *CSMANode) resetAccess() {
+	m.op = opNone
 	m.attemptActive = false
-	m.releasePending = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindCrash, "")
 }
 
-// SetSlotStretch implements NodeMAC: every k-th contention opportunity
-// is slept through.
-func (m *CSMANode) SetSlotStretch(k int) {
-	if k < 2 {
-		m.stretchEvery = 0
-		return
-	}
-	m.stretchEvery = k
-}
+// queued implements accessPolicy: a frame waits for the next beacon's
+// contention attempt.
+func (m *CSMANode) queued() {}
 
-// EnterBeaconOnly implements NodeMAC: release the membership (via a
-// contention-access Release frame), then keep only beacon sync alive.
-func (m *CSMANode) EnterBeaconOnly() {
-	if m.beaconOnly {
-		return
-	}
-	m.beaconOnly = true
-	switch m.state {
-	case stateJoined:
-		m.releasePending = true
-	case stateRequesting:
-		m.park()
-	case stateSearching, stateCrashed, stateParked:
-	}
-}
+// ackLost implements accessPolicy: the requeued frame recontends after
+// the next beacon.
+func (m *CSMANode) ackLost() {}
 
-func (m *CSMANode) closeAckWindow() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.stats.Abandoned++
-}
+// request implements beaconAccess: contend to send the slot request.
+func (m *CSMANode) request() { m.beginAttempt(opSSR) }
 
-func (m *CSMANode) park() {
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateParked
-	m.member = -1
-	m.releasePending = false
-	m.queue = nil
-	m.loading = false
-	m.loaded = false
-	m.inFlight = nil
-	m.op = csmaOpNone
-	m.attemptActive = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
-}
+// release implements beaconAccess: contend to send the Release.
+func (m *CSMANode) release() { m.beginAttempt(opRelease) }
 
-// Send implements Mac. The frame is transmitted by a contention attempt
-// in the current or a following beacon cycle.
-func (m *CSMANode) Send(payload []byte) bool {
-	if len(m.queue) >= m.cfg.TxQueueCap {
-		m.stats.QueueDrops++
-		return false
-	}
-	m.queue = append(m.queue, txItem{payload: payload, enqueuedAt: m.k.Now()})
-	return true
-}
-
-// local applies the node's oscillator error to a self-timed interval.
-func (m *CSMANode) local(d sim.Time) sim.Time {
-	if approx.Unset(m.cfg.ClockDriftPPM) {
-		return d
-	}
-	return sim.Time(float64(d) * (1 + m.cfg.ClockDriftPPM*1e-6))
-}
-
-// maxBeaconPayload mirrors the static-TDMA beacon sizing: base payload
-// plus a bounded number of join-grant entries.
-func (m *CSMANode) maxBeaconPayload() int {
-	return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
-		m.cfg.Profile.MAC.GrantEntryBytes*2
-}
-
-// nextWindowOpen reports when this node expects to open its next beacon
-// listen window — the hard deadline every contention attempt must clear.
-func (m *CSMANode) nextWindowOpen() sim.Time {
-	p := m.cfg.Profile
-	return m.t0 + m.local(m.cycle-p.MAC.StaticGuard-p.Radio.RxSettle)
-}
-
-// --- frame dispatch ------------------------------------------------------
-
-func (m *CSMANode) onFrame(f packet.Frame) {
-	switch {
-	case f.Dest == m.cfg.Plan.Beacon:
-		if b, err := packet.UnmarshalBeacon(f.Payload); err == nil {
-			m.handleBeacon(b, len(f.Payload))
-		}
-	case f.Dest == m.cfg.Plan.NodeAddr(m.cfg.NodeID) && packet.IsAck(f.Payload):
-		m.handleAck()
-	}
-}
-
-// handleBeacon resynchronises and scans the membership grants.
-func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
-	now := m.k.Now()
-	frameEnd := m.radio.LastRxFrameEnd()
-	airStart := frameEnd - m.cfg.Profile.Radio.Airtime(payloadLen)
-
-	m.radio.PowerDown()
-	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
-		m.windowActive = false
-		m.accountControlRx(now - m.windowOpenAt)
-	} else if m.state == stateSearching {
-		idle := now - m.joinListenAt
-		m.joinIdleTime += idle
-		m.ledger.AttributeLoss(energy.LossIdleListening,
-			m.radio.RxPowerW()*idle.Seconds())
-	}
-
-	m.stats.BeaconsHeard++
-	m.missed = 0
-	m.t0 = airStart
-	m.cycle = sim.Time(b.CycleMicros) * sim.Microsecond
-	if m.cycle <= 0 {
-		return // malformed beacon; wait for the next one
-	}
-	m.tracer.Recordf(now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
-
-	if m.state == stateSearching {
-		m.state = stateRequesting
-	}
-	if m.beaconOnly && m.state == stateRequesting {
-		m.park()
-	}
-
-	for _, e := range b.Entries {
-		if e.NodeID != m.cfg.NodeID {
-			continue
-		}
-		if m.state == stateParked {
-			break // stale grant after our release
-		}
-		if m.state != stateJoined {
-			m.member = int(e.Slot)
-			m.state = stateJoined
-			m.joinedSince = now
-			if m.rejoinArmed {
-				m.tracer.Observe(m.name, trace.HistRejoin, now-m.rejoinFrom)
-				m.rejoinArmed = false
-			}
-			m.joinedEver = true
-			m.tracer.Recordf(now, m.name, trace.KindJoined, "slot=%d", m.member)
-			for _, fn := range m.onJoined {
-				fn()
-			}
-		} else {
-			m.member = int(e.Slot)
-		}
-		break
-	}
-
-	m.sched.Interrupt("beacon-parse", m.cfg.Profile.Cost.BeaconParseStatic, func() {
-		m.afterBeacon()
-	})
-}
-
-// afterBeacon launches this cycle's contention attempt once parsing is
-// done: the contention-access period runs from here to the next window.
-func (m *CSMANode) afterBeacon() {
-	m.scheduleNextWindow()
-	switch m.state {
-	case stateRequesting:
-		m.beginAttempt(csmaOpSSR)
-	case stateJoined:
-		if m.releasePending {
-			m.beginAttempt(csmaOpRelease)
-			return
-		}
-		if m.stretchEvery >= 2 {
-			m.stretchCount++
-			if m.stretchCount%uint64(m.stretchEvery) == 0 {
-				m.stats.SlotsSkipped++
-				m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
-				return
-			}
-		}
-		m.beginAttempt(csmaOpData)
-	}
-}
-
-// windowStride mirrors the TDMA doze ratio for parked nodes.
-func (m *CSMANode) windowStride() sim.Time {
-	if m.state == stateParked {
-		return parkBeaconEvery
-	}
-	return 1
-}
-
-// scheduleNextWindow arms the receiver for the next expected beacon.
-func (m *CSMANode) scheduleNextWindow() {
-	p := m.cfg.Profile
-	stride := m.windowStride()
-	openAt := m.t0 + m.local(stride*m.cycle-p.MAC.StaticGuard-p.Radio.RxSettle)
-	now := m.k.Now()
-	if openAt <= now {
-		openAt = now
-	}
-	gen := m.gen
-	m.k.ScheduleAt(openAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.windowActive || m.state == stateSearching {
-			return
-		}
-		if m.radio.Mode() == radio.ModeTx {
-			// A late contention burst is still draining; its completion
-			// handler powers the radio down, and the beacon is lost this
-			// cycle (the budget margins make this rare).
-			m.onWindowLost()
-			return
-		}
-		m.windowActive = true
-		m.windowOpenAt = m.k.Now()
-		m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-		m.radio.StartRx()
-		deadline := m.t0 + m.local(stride*m.cycle) + p.MAC.StaticGuard +
-			p.Radio.Airtime(m.maxBeaconPayload()) +
-			p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-		if deadline < m.k.Now() {
-			deadline = m.k.Now()
-		}
-		m.windowTimeout = m.k.ScheduleAt(deadline, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.onWindowTimeout()
-		})
-	})
-}
-
-// onWindowLost dead-reckons past a beacon window the node could not open.
-func (m *CSMANode) onWindowLost() {
-	m.stats.BeaconsMissed++
-	m.missed++
-	if m.missed >= missedBeaconRejoinThreshold {
-		m.rejoin()
-		return
-	}
-	m.t0 += m.local(m.windowStride() * m.cycle)
-	m.scheduleNextWindow()
-}
-
-// onWindowTimeout handles a silent beacon window.
-func (m *CSMANode) onWindowTimeout() {
-	if !m.windowActive {
-		return
-	}
-	m.windowActive = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.windowOpenAt)
-	m.stats.BeaconsMissed++
-	m.missed++
-	if m.missed >= missedBeaconRejoinThreshold {
-		m.rejoin()
-		return
-	}
-	m.t0 += m.local(m.windowStride() * m.cycle)
-	m.scheduleNextWindow()
-}
-
-// rejoin abandons the membership and restarts the join procedure.
-func (m *CSMANode) rejoin() {
-	m.stats.Rejoins++
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	if !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-	m.state = stateSearching
-	m.member = -1
-	m.missed = 0
-	m.loaded = false
-	m.inFlight = nil
-	m.op = csmaOpNone
-	m.attemptActive = false
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
-}
-
-// --- contention attempt machine ------------------------------------------
+// transmit implements beaconAccess: contend to send the queue head.
+func (m *CSMANode) transmit() { m.beginAttempt(opData) }
 
 // beginAttempt loads op's frame into the FIFO (if not already resident
 // from a deferred attempt) and starts the backoff/CCA loop. One attempt
 // runs per beacon cycle; an attempt that runs out of time or backoffs
 // leaves the frame loaded for the next cycle.
-func (m *CSMANode) beginAttempt(op csmaOp) {
-	if m.attemptActive || m.loading || m.ackWaiting {
+func (m *CSMANode) beginAttempt(op txOp) {
+	if m.attemptActive || m.loading || m.ack.open {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 		return
 	}
-	if m.op != csmaOpNone && m.op != op {
+	if m.op != opNone && m.op != op {
 		// The FIFO holds a stale frame of another kind (a data frame
 		// loaded before EnterBeaconOnly, say): the release path owns the
 		// radio now and the unsent frame is discarded.
 		m.loaded = false
 		m.inFlight = nil
-		m.op = csmaOpNone
+		m.op = opNone
 	}
 	p := m.cfg.Profile
 	if !m.loaded {
 		switch op {
-		case csmaOpData:
+		case opData:
 			if len(m.queue) == 0 {
 				return
 			}
@@ -573,60 +147,54 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 			}
 			m.queue = m.queue[1:]
 			m.inFlight = &item
-			m.op = csmaOpData
+			m.op = opData
 			m.loading = true
 			m.dataBuf = append(append(m.dataBuf[:0], m.cfg.NodeID), item.payload...)
-			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, func() {
-				m.loading = false
-				m.loaded = true
-				m.radio.PowerDown()
-				m.startBackoff()
-			})
-		case csmaOpSSR:
+			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.frameLoaded)
+		case opSSR:
 			m.ssrNonce++
 			ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
-			m.op = csmaOpSSR
+			m.op = opSSR
 			m.loading = true
 			m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
 				if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 					m.loading = false
-					m.op = csmaOpNone
+					m.op = opNone
 					return
 				}
 				m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-					m.loading = false
-					m.loaded = true
-					m.radio.PowerDown()
-					m.startBackoff()
-				})
+				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
 			})
-		case csmaOpRelease:
+		case opRelease:
 			rel := packet.Release{NodeID: m.cfg.NodeID}
-			m.op = csmaOpRelease
+			m.op = opRelease
 			m.loading = true
 			m.ctrlBuf = rel.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-				m.loading = false
-				m.loaded = true
-				m.radio.PowerDown()
-				m.startBackoff()
-			})
+			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
 		}
 		return
 	}
 	m.startBackoff()
 }
 
+// frameLoaded sleeps the radio once the FIFO holds the attempt's frame
+// and starts contending.
+func (m *CSMANode) frameLoaded() {
+	m.loading = false
+	m.loaded = true
+	m.radio.PowerDown()
+	m.startBackoff()
+}
+
 // opTailNeed reports how long an attempt needs after its CCA clears:
 // settle, burst, and (for data) the acknowledgement window.
-func (m *CSMANode) opTailNeed(op csmaOp, payloadLen int) sim.Time {
+func (m *CSMANode) opTailNeed(op txOp, payloadLen int) sim.Time {
 	p := m.cfg.Profile
 	switch op {
-	case csmaOpData:
+	case opData:
 		return p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+payloadLen) +
 			p.MAC.AckTimeout + 300*sim.Microsecond
-	case csmaOpSSR:
+	case opSSR:
 		return p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes) + 300*sim.Microsecond
 	default:
 		return p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes) + 300*sim.Microsecond
@@ -669,14 +237,6 @@ func (m *CSMANode) scheduleBackoffStep() {
 		}
 		m.ccaStart()
 	})
-}
-
-// inFlightLen reports the pending data payload length (0 for control).
-func (m *CSMANode) inFlightLen() int {
-	if m.op == csmaOpData && m.inFlight != nil {
-		return len(m.inFlight.payload)
-	}
-	return 0
 }
 
 // ccaStart turns the receiver on for the clear-channel assessment.
@@ -730,139 +290,54 @@ func (m *CSMANode) ccaSample() {
 		m.scheduleBackoffStep()
 		return
 	}
-	m.transmit()
+	m.fire()
 }
 
-// transmit fires the loaded frame the instant its CCA cleared.
-func (m *CSMANode) transmit() {
-	p := m.cfg.Profile
+// fire transmits the loaded frame the instant its CCA cleared.
+func (m *CSMANode) fire() {
 	m.attemptActive = false
 	m.loaded = false
 	op := m.op
-	if op == csmaOpData && m.inFlight != nil {
-		lat := m.k.Now() - m.inFlight.enqueuedAt
-		m.stats.LatencySum += lat
-		m.stats.LatencyCount++
-		if lat > m.stats.LatencyMax {
-			m.stats.LatencyMax = lat
-		}
-		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
+	if op == opData {
+		m.noteLatency()
 	}
 	m.radio.Fire(func() {
 		if m.state == stateCrashed {
 			return
 		}
+		m.op = opNone
 		switch op {
-		case csmaOpData:
-			m.op = csmaOpNone
+		case opData:
 			if m.state == stateParked {
 				m.radio.PowerDown()
 				return
 			}
 			m.stats.DataSent++
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindDataTx, "len=%d",
-				packet.DataHeaderBytes+m.inFlightLenRaw())
+			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d",
+				packet.DataHeaderBytes+m.inFlightLen())
 			m.openAckWindow()
-		case csmaOpSSR:
-			m.op = csmaOpNone
+		case opSSR:
 			m.stats.SSRSent++
-			txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+			m.chargeControlTx(packet.SSRBytes)
+			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
 			m.radio.PowerDown()
-		case csmaOpRelease:
-			m.op = csmaOpNone
+		case opRelease:
 			m.stats.ReleasesSent++
-			txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotRelease, "member=%d", m.member)
+			m.chargeControlTx(packet.ReleaseBytes)
+			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSlotRelease, "member=%d", m.slot)
 			m.radio.PowerDown()
 			m.park()
 		}
 	})
 }
 
-// inFlightLenRaw reports the raw app payload length of the in-flight
-// frame for tracing.
-func (m *CSMANode) inFlightLenRaw() int {
+// inFlightLen reports the in-flight frame's application payload length
+// (0 when none).
+func (m *CSMANode) inFlightLen() int {
 	if m.inFlight != nil {
 		return len(m.inFlight.payload)
 	}
 	return 0
-}
-
-// --- acknowledgement path (shared shape with the TDMA node) --------------
-
-func (m *CSMANode) openAckWindow() {
-	p := m.cfg.Profile
-	m.ackWaiting = true
-	m.ackOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	gen := m.gen
-	m.ackTimeout = m.k.Schedule(p.MAC.AckTimeout, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onAckTimeout()
-	})
-}
-
-func (m *CSMANode) handleAck() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.tracer.Observe(m.name, trace.HistTxToAck, m.k.Now()-m.ackOpenAt)
-	m.stats.DataAcked++
-	m.inFlight = nil
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckRx, "")
-}
-
-func (m *CSMANode) onAckTimeout() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
-
-	p := m.cfg.Profile
-	if m.inFlight != nil {
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+len(m.inFlight.payload))
-		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
-		if m.inFlight.retries < m.cfg.MaxRetries {
-			m.inFlight.retries++
-			m.stats.Retries++
-			m.queue = append([]txItem{*m.inFlight}, m.queue...)
-		} else {
-			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
-		}
-	}
-	m.inFlight = nil
-}
-
-func (m *CSMANode) accountControlRx(d sim.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("mac %s: negative control window", m.name))
-	}
-	m.controlRxTime += d
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.RxPowerW()*d.Seconds())
-}
-
-// --- runtime audit accessors ---------------------------------------------
-
-// AuditFrame checks the universal frame-conservation laws.
-func (m *CSMANode) AuditFrame() []string {
-	return AuditFrameStats(m.stats, m.carrySent, m.ackWaiting)
 }
 
 // AuditProtocol checks the channel-access consistency laws: every busy
@@ -896,21 +371,15 @@ func (m *CSMANode) AuditProtocol() []string {
 	return v
 }
 
-// --- base station ---------------------------------------------------------
-
-// CSMABS is the base station of the slotted CSMA/CA protocol: the static
-// TDMA base station's beacon cadence, join handling and silence reclaim,
-// with data frames attributed by their sender-ID header instead of slot
-// timing (any member may transmit at any contention offset).
-type CSMABS struct {
-	*BS
-}
-
-// NewCSMABS wires a CSMA/CA base station. A zero StaticCycle selects
-// DefaultCSMACycle; a zero MaxSlots admits MaxDynamicSlots members (the
-// contention period has no slot geometry to limit it).
+// NewCSMABS wires the base station of the slotted CSMA/CA protocol: the
+// static TDMA base station's beacon cadence, join handling and silence
+// reclaim, with data frames attributed by their sender-ID header instead
+// of slot timing (any member may transmit at any contention offset). A
+// zero StaticCycle selects DefaultCSMACycle; a zero MaxSlots admits
+// MaxDynamicSlots members (the contention period has no slot geometry to
+// limit it).
 func NewCSMABS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *CSMABS {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}
@@ -923,10 +392,5 @@ func NewCSMABS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	}
 	bs := NewBS(k, cfg, sched, r, ledger, tracer)
 	bs.idHeader = true
-	return &CSMABS{BS: bs}
+	return bs
 }
-
-var (
-	_ NodeMAC = (*CSMANode)(nil)
-	_ BSMAC   = (*CSMABS)(nil)
-)

@@ -3,9 +3,9 @@ package mac
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // crashRigNode silences a rig node the way a full Sensor crash does:
@@ -192,7 +192,7 @@ func TestCrashDuringInflightFrame(t *testing.T) {
 	// window is bracketed by the preceding slot-start.
 	probe, _ := run(0, 0)
 	var txEnd sim.Time
-	for _, ev := range probe.probeTracer().Filter(trace.KindDataTx) {
+	for _, ev := range probe.probeTracer().Filter(metrics.KindDataTx) {
 		if ev.Node == "node1" && ev.At > 500*sim.Millisecond {
 			txEnd = ev.At
 			break
@@ -238,4 +238,4 @@ func TestCrashDuringInflightFrame(t *testing.T) {
 }
 
 // probeTracer exposes the rig's recorder for two-phase tests.
-func (r *rig) probeTracer() *trace.Recorder { return r.tracer }
+func (r *rig) probeTracer() *metrics.Recorder { return r.tracer }

@@ -1,15 +1,13 @@
 // Package mac implements the networking stack of the BAN: the
-// energy-efficient TDMA MAC layer of §3.2.2, in both the static variant
-// (fixed slot count, joins answered from a bounded grant pool) and the
-// dynamic variant (the cycle grows at run time as nodes join, slot table
-// broadcast in every beacon).
+// energy-efficient TDMA MAC layer of §3.2.2 in its static and dynamic
+// variants, plus slotted CSMA/CA and preamble-sampling LPL, all behind
+// one protocol registry (protocol.go).
 //
-// The base station regulates timing by broadcasting beacons in its SB
-// slot; a sensor node joins by transmitting a slot request (SSR) — in the
-// receive region for static TDMA, at a random offset inside the empty
-// slot (ES) for dynamic TDMA — and then exchanges data with the base
-// station in its assigned slot, sleeping its radio for the rest of the
-// cycle.
+// Every node MAC embeds one lifecycle core (lifecycle.go): join state,
+// the transmit queue and ack window, crash/park resets and loss
+// accounting, with a beaconed extension for beacon sync, dead reckoning
+// and rejoin. Every base station embeds one membership core (bs.go).
+// Each protocol file keeps only its channel-access policy.
 package mac
 
 import (
@@ -27,12 +25,7 @@ const (
 )
 
 // String names the variant.
-func (v Variant) String() string {
-	if v == Dynamic {
-		return "dynamic"
-	}
-	return "static"
-}
+func (v Variant) String() string { return string(v.Protocol()) }
 
 // Mac is the application's view of the node-side MAC.
 type Mac interface {

@@ -151,12 +151,7 @@ func checkAuditLaws(t *testing.T, proto mac.Protocol) {
 // crashed node, keep the books balanced through every transition, and
 // still deliver data.
 func checkFaults(t *testing.T, proto mac.Protocol) {
-	cfg := Scenario(proto, 37)
-	cfg.Faults = []fault.Fault{
-		{Kind: fault.KindCrash, Node: 1, At: 4 * sim.Second, RebootAfter: 500 * sim.Millisecond},
-		{Kind: fault.KindBlackout, From: "node2", To: "bs", At: 5500 * sim.Millisecond, Until: 6 * sim.Second},
-		{Kind: fault.KindInterference, At: 6500 * sim.Millisecond, Until: 6800 * sim.Millisecond},
-	}
+	cfg := faultScenario(proto)
 	res := mustRun(t, cfg)
 	if len(res.Faults) != len(cfg.Faults) {
 		t.Fatalf("%d fault outcomes for %d faults", len(res.Faults), len(cfg.Faults))
@@ -181,6 +176,18 @@ func checkFaults(t *testing.T, proto mac.Protocol) {
 	}
 }
 
+// faultScenario is the fault-resilience case's configuration: a crash
+// with reboot, a directed blackout and an interference burst.
+func faultScenario(proto mac.Protocol) core.Config {
+	cfg := Scenario(proto, 37)
+	cfg.Faults = []fault.Fault{
+		{Kind: fault.KindCrash, Node: 1, At: 4 * sim.Second, RebootAfter: 500 * sim.Millisecond},
+		{Kind: fault.KindBlackout, From: "node2", To: "bs", At: 5500 * sim.Millisecond, Until: 6 * sim.Second},
+		{Kind: fault.KindInterference, At: 6500 * sim.Millisecond, Until: 6800 * sim.Millisecond},
+	}
+	return cfg
+}
+
 // checkDegradation: each node runs from a live cell sized — from a
 // fault-free calibration run of the same scenario — to deplete about
 // halfway through the window, so the state of charge sweeps every
@@ -188,6 +195,36 @@ func checkFaults(t *testing.T, proto mac.Protocol) {
 // and beacon-only hooks while the battery conservation laws hold, and
 // the cell must actually brown the node out.
 func checkDegradation(t *testing.T, proto mac.Protocol) {
+	res := mustRun(t, cascadeScenario(t, proto))
+	if res.TimeToFirstDeath == 0 {
+		t.Fatalf("no node browned out on a cell sized to die mid-window")
+	}
+	var skipped uint64
+	died := 0
+	for _, n := range res.Nodes {
+		if n.Battery == nil {
+			t.Fatalf("%s: no battery report", n.Name)
+		}
+		skipped += n.Mac.SlotsSkipped
+		if n.Battery.Died {
+			died++
+		}
+		if n.Battery.Died && n.Battery.Level != battery.LevelDead {
+			t.Errorf("%s: died with level %s", n.Name, n.Battery.LevelName)
+		}
+	}
+	if skipped == 0 {
+		t.Errorf("stretch rung engaged on no node: SetSlotStretch is not honoured")
+	}
+	if died == 0 {
+		t.Errorf("no battery report shows a death despite TimeToFirstDeath=%v", res.TimeToFirstDeath)
+	}
+}
+
+// cascadeScenario is the degradation-cascade case's configuration: a
+// cell sized from a fault-free calibration run to deplete about halfway
+// through the window, under a policy whose every rung fires.
+func cascadeScenario(t *testing.T, proto mac.Protocol) core.Config {
 	probe := mustRun(t, Scenario(proto, 41))
 	var maxJ float64
 	for _, n := range probe.Nodes {
@@ -216,31 +253,7 @@ func checkDegradation(t *testing.T, proto mac.Protocol) {
 	}
 	cfg.Battery = &cell
 	cfg.Degrade = &policy
-
-	res := mustRun(t, cfg)
-	if res.TimeToFirstDeath == 0 {
-		t.Fatalf("no node browned out on a cell sized to die mid-window")
-	}
-	var skipped uint64
-	died := 0
-	for _, n := range res.Nodes {
-		if n.Battery == nil {
-			t.Fatalf("%s: no battery report", n.Name)
-		}
-		skipped += n.Mac.SlotsSkipped
-		if n.Battery.Died {
-			died++
-		}
-		if n.Battery.Died && n.Battery.Level != battery.LevelDead {
-			t.Errorf("%s: died with level %s", n.Name, n.Battery.LevelName)
-		}
-	}
-	if skipped == 0 {
-		t.Errorf("stretch rung engaged on no node: SetSlotStretch is not honoured")
-	}
-	if died == 0 {
-		t.Errorf("no battery report shows a death despite TimeToFirstDeath=%v", res.TimeToFirstDeath)
-	}
+	return cfg
 }
 
 // checkDeterminism: the same (Config, Seed) must reproduce byte for

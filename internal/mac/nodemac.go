@@ -3,351 +3,68 @@ package mac
 import (
 	"fmt"
 
-	"repro/internal/approx"
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
-// nodeState is the join state machine.
-type nodeState int
-
-const (
-	stateSearching  nodeState = iota // continuous listen for a first beacon
-	stateRequesting                  // beacon-synced, slot request pending
-	stateJoined                      // slot held, steady-state duty cycle
-	stateCrashed                     // powered off by a fault; waiting for reboot
-	stateParked                      // beacon-only: slot released, no data path
-)
-
-// NodeConfig parameterises a node-side MAC instance.
-type NodeConfig struct {
-	Variant Variant
-	// Protocol selects the MAC from the registry; empty derives it from
-	// Variant ("static"/"dynamic"), preserving the historical knob.
-	Protocol Protocol
-	// Params tunes the contention protocols (ignored by TDMA).
-	Params  Params
-	NodeID  uint8
-	Profile platform.Profile
-	// TxQueueCap and MaxRetries default to the package constants when 0.
-	TxQueueCap int
-	MaxRetries int
-	// Plan is the BAN's address assignment; the zero value selects
-	// packet.DefaultPlan(). Co-located networks use distinct plans.
-	Plan packet.AddressPlan
-	// ClockDriftPPM is the node oscillator's frequency error in parts
-	// per million (signed; positive = the node's clock runs slow, so its
-	// timers fire late). Every interval the node times off a beacon
-	// stretches by this factor; the beacon guard margins exist to absorb
-	// exactly this error. Crystals sit at ±20-100 ppm; the MSP430's
-	// internal DCO can be off by 1-3% (10000-30000 ppm), which overruns
-	// the calibrated guards at long cycles.
-	ClockDriftPPM float64
-}
-
-// NodeMac is the sensor-node side of the TDMA protocol.
+// NodeMac is the sensor-node side of the TDMA protocol: the beaconed
+// lifecycle core plus the slot schedule — SSRs in the request region,
+// data (and the voluntary release) in the node's own slot.
 type NodeMac struct {
-	k      *sim.Kernel
-	cfg    NodeConfig
-	name   string
-	sched  *tinyos.Sched
-	radio  *radio.Radio
-	ledger *energy.Ledger
-	tracer *trace.Recorder
-
-	state    nodeState
-	t0       sim.Time // air-start instant of the current cycle's beacon
-	cycle    sim.Time // cycle length from the latest beacon
-	slot     int
-	onJoined []func()
-	// gen invalidates kernel events armed before a crash: every scheduled
-	// closure captures the generation it was issued under and returns
-	// without effect when a crash has bumped it since.
-	gen uint64
-	// joinedSince/joinedAccum track slot-holding time for the
-	// availability metric.
-	joinedSince sim.Time
-	joinedAccum sim.Time
-	// joinedEver/rejoinArmed/rejoinFrom time the rejoin-latency
-	// histogram: once a node has held a slot, every return to the search
-	// state (missed-beacon resync, dropped from the slot table, cold
-	// boot after a crash) starts a rejoin clock that stops when a slot
-	// is held again.
-	joinedEver  bool
-	rejoinArmed bool
-	rejoinFrom  sim.Time
-
-	queue    []txItem
-	loading  bool // FIFO clock-in in progress
-	loaded   bool
-	inFlight *txItem // frame in the FIFO / awaiting ack (for retry)
-	// ctrlBuf is marshal scratch for control frames (SSR, Release). The
-	// node sends at most one control frame at a time — SSR only while
-	// requesting, Release only while joined — so one buffer suffices.
-	ctrlBuf []byte
-
-	missed        int
-	windowOpenAt  sim.Time
-	windowTimeout sim.EventID
-	windowActive  bool
-	ackOpenAt     sim.Time
-	ackTimeout    sim.EventID
-	ackWaiting    bool
-	joinListenAt  sim.Time
-	ssrNonce      uint16
-	ssrScheduled  bool
-
-	// Graceful-degradation controls (battery lifecycle).
-	stretchEvery   int    // skip our data slot every this-many cycles (0 = off)
-	stretchCount   uint64 // joined beacon cycles, driving the stretch cadence
-	beaconOnly     bool   // final low-battery mode requested by the node layer
-	releasePending bool   // the voluntary slot release still has to fly
-
-	stats Stats
-	// carrySent credits a frame transmitted before the last accounting
-	// reset whose ack was still pending when the counters zeroed: its
-	// eventual resolution (ack, timeout, abandon) increments a counter
-	// with no matching DataSent, and the frame-conservation audit must
-	// balance that epoch straddle.
-	carrySent uint64
-	// Accounting for the paper's loss categories.
-	controlRxTime sim.Time
-	controlTxTime sim.Time
-	joinIdleTime  sim.Time
+	beaconCore
+	ssrScheduled bool
 }
 
 // NewNodeMac wires a node MAC over its radio and OS.
 func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *NodeMac {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
+	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
+	m := &NodeMac{}
+	m.beaconCore = beaconCore{nodeCore: newNodeCore(k, cfg, sched, r, ledger, tracer, m), access: m, slot: -1}
+	p := cfg.Profile
+	if cfg.Variant == Dynamic {
+		m.guard = p.MAC.DynamicGuard
+		m.parseCycles = p.Cost.BeaconParseDynamic
+		m.beaconMax = p.MAC.BeaconBasePayloadBytes + p.MAC.SlotEntryBytes*p.MAC.MaxDynamicSlots
+		m.rejoinUnlisted = true
+	} else {
+		m.guard = p.MAC.StaticGuard
+		m.parseCycles = p.Cost.BeaconParseStatic
+		m.beaconMax = p.MAC.BeaconBasePayloadBytes + p.MAC.GrantEntryBytes*2
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
-	m := &NodeMac{
-		k:      k,
-		cfg:    cfg,
-		name:   r.Name(),
-		sched:  sched,
-		radio:  r,
-		ledger: ledger,
-		tracer: tracer,
-		slot:   -1,
-	}
+	m.ackProcess = true
 	r.SetReceiveHandler(m.onFrame)
 	return m
 }
 
-// Start implements Mac.
-func (m *NodeMac) Start() {
-	m.state = stateSearching
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
-	if m.joinedEver && !m.rejoinArmed {
-		// A restart after a crash: the rejoin clock runs from the cold
-		// boot, mirroring fault.Outcome.TimeToRejoin.
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-}
+// resetAccess implements accessPolicy.
+func (m *NodeMac) resetAccess() { m.ssrScheduled = false }
 
-// OnJoined implements Mac. Multiple callbacks may be registered; each
-// fires on every completed join handshake (including rejoins after a
-// missed-beacon resync or a crash/reboot cycle).
-func (m *NodeMac) OnJoined(fn func()) { m.onJoined = append(m.onJoined, fn) }
+// queued implements accessPolicy: load the new frame if the radio is free.
+func (m *NodeMac) queued() { m.tryLoad() }
 
-// Joined implements Mac.
-func (m *NodeMac) Joined() bool { return m.state == stateJoined }
+// ackLost implements accessPolicy: reload the requeued frame.
+func (m *NodeMac) ackLost() { m.tryLoad() }
 
-// Slot implements Mac.
-func (m *NodeMac) Slot() int { return m.slot }
-
-// CycleLength implements Mac.
-func (m *NodeMac) CycleLength() sim.Time { return m.cycle }
-
-// Stats implements Mac.
-func (m *NodeMac) Stats() Stats { return m.stats }
-
-// ControlRxTime reports receiver-on time spent in control windows
-// (beacon listening, ack listening) for loss accounting.
-func (m *NodeMac) ControlRxTime() sim.Time { return m.controlRxTime }
-
-// ControlTxTime reports transmit time spent on control frames (SSRs).
-func (m *NodeMac) ControlTxTime() sim.Time { return m.controlTxTime }
-
-// JoinIdleTime reports the continuous-listen time burned while searching
-// for the network (the paper's idle-listening loss).
-func (m *NodeMac) JoinIdleTime() sim.Time { return m.joinIdleTime }
-
-// ResetAccounting zeroes statistics and loss accumulators (post-warmup).
-func (m *NodeMac) ResetAccounting() {
-	m.stats = Stats{}
-	m.carrySent = 0
-	if m.ackWaiting {
-		// A frame sent in the old epoch resolves in the new one.
-		m.carrySent = 1
-	}
-	m.controlRxTime = 0
-	m.controlTxTime = 0
-	m.joinIdleTime = 0
-	m.joinedAccum = 0
-	if m.state == stateJoined {
-		m.joinedSince = m.k.Now()
-	}
-}
-
-// JoinedTime reports the cumulative time the node has held a slot since
-// the last ResetAccounting — the numerator of the availability metric.
-func (m *NodeMac) JoinedTime() sim.Time {
-	t := m.joinedAccum
-	if m.state == stateJoined {
-		t += m.k.Now() - m.joinedSince
-	}
-	return t
-}
-
-// noteLeftSlot closes the joined-time interval when the node loses or
-// abandons its slot.
-func (m *NodeMac) noteLeftSlot() {
-	if m.state == stateJoined {
-		m.joinedAccum += m.k.Now() - m.joinedSince
-	}
-}
-
-// Crash models a node power loss: the complete protocol state — join
-// status, slot, transmit queue, in-flight frame, timing references — is
-// lost, and every armed protocol event is invalidated. The radio, MCU
-// and application are crashed separately by the node layer; restart the
-// MAC with Start (a cold boot through the normal search/SSR join path).
-func (m *NodeMac) Crash() {
-	m.gen++
-	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
-		m.windowActive = false
-	}
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateCrashed
-	m.slot = -1
-	m.missed = 0
-	m.queue = nil
-	m.loading = false
-	m.loaded = false
-	m.inFlight = nil
-	m.ssrScheduled = false
-	// beaconOnly survives the crash on purpose: it mirrors the node's
-	// battery level, which a power cycle does not replenish — a rebooted
-	// beacon-only node parks again right after its first beacon.
-	m.releasePending = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindCrash, "")
-}
-
-// SetSlotStretch makes the node sleep through its data slot on every
-// k-th beacon cycle — the duty-cycle-stretching rung of the battery
-// graceful-degradation ladder. k < 2 disables stretching.
-func (m *NodeMac) SetSlotStretch(k int) {
-	if k < 2 {
-		m.stretchEvery = 0
-		return
-	}
-	m.stretchEvery = k
-}
-
-// EnterBeaconOnly drops the node to the final degradation rung: the
-// application is already stopped by the caller; the MAC hands its slot
-// back to the base station (so the dynamic cycle compacts immediately)
-// and then keeps only beacon synchronisation alive. The mode is sticky —
-// it mirrors battery charge, which never comes back.
-func (m *NodeMac) EnterBeaconOnly() {
-	if m.beaconOnly {
-		return
-	}
-	m.beaconOnly = true
-	switch m.state {
-	case stateJoined:
-		m.releasePending = true // announce in our own slot, then park
-	case stateRequesting:
-		m.park()
-	case stateSearching, stateCrashed, stateParked:
-		// Searching parks on the next beacon; crashed parks after the
-		// reboot's first beacon.
-	}
-}
-
-// parkBeaconEvery is the parked node's doze ratio: a beacon-only node
-// wakes for one beacon window in this many cycles and dead-reckons
-// across the gap. Beacon listening dominates a parked node's budget
-// (there is no other traffic left), so the ratio — not the parking
-// itself — is what makes the final degradation rung cheap; the residual
-// drift accumulated over the dozed cycles stays far inside the guard
-// margins at crystal tolerances.
-const parkBeaconEvery = 8
-
-// closeAckWindow tears down a pending acknowledgement wait when the
-// protocol state that owned it is being reset (crash, rejoin, park).
-// The transmitted frame can no longer be resolved — its ack would be
-// ignored and its timeout must not fire against the fresh state — so it
-// is counted as abandoned, keeping the frame-conservation law exact:
-// without this, a stale ackTimeout would increment AckMissed with no
-// in-flight frame to retry or drop.
-func (m *NodeMac) closeAckWindow() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.stats.Abandoned++
-}
-
-// park settles into beacon-only mode: no slot, no data path, but beacon
-// windows stay armed so the node keeps network time (and stays visible
-// to the operator through beacon-rx events).
-func (m *NodeMac) park() {
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateParked
-	m.slot = -1
-	m.releasePending = false
-	m.queue = nil
-	m.loading = false
-	m.loaded = false
-	m.inFlight = nil
-	m.ssrScheduled = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
-}
-
-// txItem is one queued payload with its retransmission count.
-type txItem struct {
-	payload    []byte
-	retries    int
-	enqueuedAt sim.Time
-}
-
-// Send implements Mac.
-func (m *NodeMac) Send(payload []byte) bool {
-	if len(m.queue) >= m.cfg.TxQueueCap {
-		m.stats.QueueDrops++
-		return false
-	}
-	m.queue = append(m.queue, txItem{payload: payload, enqueuedAt: m.k.Now()})
+// transmit implements beaconAccess: load the head of the queue and arm
+// this cycle's transmission at the slot boundary.
+func (m *NodeMac) transmit() {
 	m.tryLoad()
-	return true
+	fireAt := m.t0 + m.local(m.slotStart(m.slot))
+	if fireAt <= m.k.Now() {
+		return // our slot already passed this cycle
+	}
+	gen := m.gen
+	m.k.ScheduleAt(fireAt, func(*sim.Kernel) {
+		if m.gen != gen {
+			return // armed before a crash
+		}
+		m.fireSlot()
+	})
 }
-
-// --- protocol timing helpers -------------------------------------------
 
 // slotDuration reports the data-slot length under the current cycle.
 func (m *NodeMac) slotDuration() sim.Time {
@@ -364,258 +81,9 @@ func (m *NodeMac) slotStart(i int) sim.Time {
 	return m.slotDuration() * sim.Time(i+1)
 }
 
-// guard reports the variant's beacon guard margin.
-func (m *NodeMac) guard() sim.Time {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.MAC.DynamicGuard
-	}
-	return m.cfg.Profile.MAC.StaticGuard
-}
-
-// local converts an interval the node times with its own oscillator into
-// the true elapsed simulation time, applying the clock drift.
-func (m *NodeMac) local(d sim.Time) sim.Time {
-	if approx.Unset(m.cfg.ClockDriftPPM) {
-		return d
-	}
-	return sim.Time(float64(d) * (1 + m.cfg.ClockDriftPPM*1e-6))
-}
-
-// parseCycles reports the variant's beacon-parse cost.
-func (m *NodeMac) parseCycles() int64 {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.Cost.BeaconParseDynamic
-	}
-	return m.cfg.Profile.Cost.BeaconParseStatic
-}
-
-// maxBeaconPayload bounds the beacon size for window-timeout sizing.
-func (m *NodeMac) maxBeaconPayload() int {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
-			m.cfg.Profile.MAC.SlotEntryBytes*m.cfg.Profile.MAC.MaxDynamicSlots
-	}
-	return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
-		m.cfg.Profile.MAC.GrantEntryBytes*2
-}
-
-// --- frame dispatch ------------------------------------------------------
-
-func (m *NodeMac) onFrame(f packet.Frame) {
-	switch {
-	case f.Dest == m.cfg.Plan.Beacon:
-		if b, err := packet.UnmarshalBeacon(f.Payload); err == nil {
-			m.handleBeacon(b, len(f.Payload))
-		}
-	case f.Dest == m.cfg.Plan.NodeAddr(m.cfg.NodeID) && packet.IsAck(f.Payload):
-		m.handleAck()
-	}
-}
-
-// handleBeacon runs (in interrupt context) after the beacon's FIFO drain.
-func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
-	now := m.k.Now()
-	frameEnd := m.radio.LastRxFrameEnd()
-	airStart := frameEnd - m.cfg.Profile.Radio.Airtime(payloadLen)
-
-	// Close the listen window.
-	m.radio.PowerDown()
-	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
-		m.windowActive = false
-		m.accountControlRx(now - m.windowOpenAt)
-	} else if m.state == stateSearching {
-		// The whole continuous search listen is idle listening except
-		// the beacon frame itself.
-		idle := now - m.joinListenAt
-		m.joinIdleTime += idle
-		m.ledger.AttributeLoss(energy.LossIdleListening,
-			m.radio.RxPowerW()*idle.Seconds())
-	}
-
-	m.stats.BeaconsHeard++
-	m.missed = 0
-	m.t0 = airStart
-	m.cycle = sim.Time(b.CycleMicros) * sim.Microsecond
-	if m.cycle <= 0 {
-		return // malformed beacon; wait for the next one
-	}
-	m.tracer.Recordf(now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
-
-	if m.state == stateSearching {
-		m.state = stateRequesting
-	}
-	if m.beaconOnly && m.state == stateRequesting {
-		// A beacon-only node never requests a slot: synchronise and park.
-		m.park()
-	}
-
-	// Grant / slot-table scan.
-	found := false
-	for _, e := range b.Entries {
-		if e.NodeID == m.cfg.NodeID {
-			found = true
-			if m.state == stateParked {
-				// We released this slot; a stale table row (our release
-				// frame lost, silence reclaim still pending) must not
-				// re-join us.
-				break
-			}
-			if m.state != stateJoined {
-				m.slot = int(e.Slot)
-				m.state = stateJoined
-				m.joinedSince = now
-				m.ssrScheduled = false
-				if m.rejoinArmed {
-					m.tracer.Observe(m.name, trace.HistRejoin, now-m.rejoinFrom)
-					m.rejoinArmed = false
-				}
-				m.joinedEver = true
-				m.tracer.Recordf(now, m.name, trace.KindJoined, "slot=%d", m.slot)
-				for _, fn := range m.onJoined {
-					fn()
-				}
-			} else {
-				m.slot = int(e.Slot)
-			}
-			break
-		}
-	}
-	if m.cfg.Variant == Dynamic && m.state == stateJoined && !found {
-		// The base station no longer lists us: rejoin.
-		m.rejoin()
-		return
-	}
-
-	// The beacon-parse task models the per-cycle OS/MAC work; follow-up
-	// actions run when it completes.
-	m.sched.Interrupt("beacon-parse", m.parseCycles(), func() {
-		m.afterBeacon()
-	})
-}
-
-// afterBeacon schedules this cycle's activity once parsing is done.
-func (m *NodeMac) afterBeacon() {
-	m.scheduleNextWindow()
-	switch m.state {
-	case stateRequesting:
-		m.scheduleSSR()
-	case stateJoined:
-		if m.releasePending {
-			m.scheduleRelease()
-			return
-		}
-		if m.stretchEvery >= 2 {
-			m.stretchCount++
-			if m.stretchCount%uint64(m.stretchEvery) == 0 {
-				// Duty-cycle stretch: sleep through our slot this cycle.
-				// The queue keeps filling; its cap converts the stretch
-				// into deterministic tail drops instead of latency creep.
-				m.stats.SlotsSkipped++
-				m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
-				return
-			}
-		}
-		m.tryLoad()
-		m.scheduleSlotFire()
-	}
-}
-
-// windowStride reports how many cycles ahead the next beacon window
-// sits: 1 normally, the doze ratio when parked.
-func (m *NodeMac) windowStride() sim.Time {
-	if m.state == stateParked {
-		return parkBeaconEvery
-	}
-	return 1
-}
-
-// scheduleNextWindow arms the receiver for the next expected beacon.
-func (m *NodeMac) scheduleNextWindow() {
-	p := m.cfg.Profile
-	stride := m.windowStride()
-	openAt := m.t0 + m.local(stride*m.cycle-m.guard()-p.Radio.RxSettle)
-	now := m.k.Now()
-	if openAt <= now {
-		openAt = now // degenerate cycles: open immediately
-	}
-	gen := m.gen
-	m.k.ScheduleAt(openAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.windowActive || m.state == stateSearching {
-			return
-		}
-		m.windowActive = true
-		m.windowOpenAt = m.k.Now()
-		m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-		m.radio.StartRx()
-		// The timeout sits one guard past the locally-expected beacon so
-		// the tolerance to clock error is symmetric: ±guard/cycle for
-		// early and late clocks alike. A saturated MCU can delay the
-		// whole pipeline past the nominal deadline; clamp so the window
-		// closes immediately instead of scheduling into the past.
-		deadline := m.t0 + m.local(stride*m.cycle) + m.guard() +
-			p.Radio.Airtime(m.maxBeaconPayload()) +
-			p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-		if deadline < m.k.Now() {
-			deadline = m.k.Now()
-		}
-		m.windowTimeout = m.k.ScheduleAt(deadline, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.onWindowTimeout()
-		})
-	})
-}
-
-// onWindowTimeout handles a silent beacon window.
-func (m *NodeMac) onWindowTimeout() {
-	if !m.windowActive {
-		return
-	}
-	m.windowActive = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.windowOpenAt)
-	m.stats.BeaconsMissed++
-	m.missed++
-	if m.missed >= missedBeaconRejoinThreshold {
-		m.rejoin()
-		return
-	}
-	// Dead-reckon the next cycle from the last good reference; drift
-	// compounds here, one silent cycle (or dozed stretch) at a time.
-	m.t0 += m.local(m.windowStride() * m.cycle)
-	m.scheduleNextWindow()
-}
-
-// rejoin abandons the slot and restarts the join procedure.
-func (m *NodeMac) rejoin() {
-	m.stats.Rejoins++
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	if !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-	m.state = stateSearching
-	m.slot = -1
-	m.missed = 0
-	m.loaded = false
-	m.inFlight = nil
-	m.ssrScheduled = false
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
-}
-
-// --- join: slot request --------------------------------------------------
-
-// scheduleSSR transmits a slot request at a random offset inside the
-// variant's request region of the current cycle.
-func (m *NodeMac) scheduleSSR() {
+// request implements beaconAccess: transmit a slot request at a random
+// offset inside the variant's request region of the current cycle.
+func (m *NodeMac) request() {
 	if m.ssrScheduled {
 		return
 	}
@@ -626,19 +94,16 @@ func (m *NodeMac) scheduleSSR() {
 
 	// The whole SSR operation (prep, load, settle, burst) must finish
 	// before the next beacon listen window opens.
-	windowOpen := m.cycle - m.guard() - p.Radio.RxSettle
-	var lo, hi sim.Time
+	windowOpen := m.cycle - m.guard - p.Radio.RxSettle
+	hi := windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
+	// Static: anywhere in the receive region after the SB slot.
+	lo := m.slotDuration()
 	if m.cfg.Variant == Dynamic {
 		// Random offset within the empty slot (ES), after the beacon.
 		lo = 2 * sim.Millisecond
-		hi = p.MAC.DynamicSlotDuration - ssrAir - p.Radio.TxSettle - 500*sim.Microsecond
-	} else {
-		// Static: anywhere in the receive region after the SB slot.
-		lo = m.slotDuration()
-		hi = windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
-	}
-	if hi > windowOpen-ssrAir-p.Radio.TxSettle-300*sim.Microsecond {
-		hi = windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
+		if es := p.MAC.DynamicSlotDuration - ssrAir - p.Radio.TxSettle - 500*sim.Microsecond; es < hi {
+			hi = es
+		}
 	}
 	if hi <= lo {
 		return // degenerate geometry; try next cycle
@@ -692,24 +157,22 @@ func (m *NodeMac) scheduleSSR() {
 		m.radio.Fire(func() {
 			m.stats.SSRSent++
 			m.ssrScheduled = false
-			txDur := p.Radio.TxSettle + ssrAir
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+			m.chargeControlTx(packet.SSRBytes)
+			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
 			m.radio.PowerDown()
 		})
 	})
 }
 
-// scheduleRelease transmits the voluntary slot release in the node's own
-// data slot (collision-free by construction, like a data frame), then
-// parks the MAC in beacon-only mode. A lost release is tolerated: the
-// base station's silence reclaim frees the slot a few cycles later, and
-// the parked node ignores its stale table row until then.
-func (m *NodeMac) scheduleRelease() {
+// release implements beaconAccess: transmit the voluntary slot release
+// in the node's own data slot (collision-free by construction, like a
+// data frame), then park in beacon-only mode. A lost release is
+// tolerated: the base station's silence reclaim frees the slot a few
+// cycles later, and the parked node ignores its stale table row until
+// then.
+func (m *NodeMac) release() {
 	p := m.cfg.Profile
 	rel := packet.Release{NodeID: m.cfg.NodeID}
-	relAir := p.Radio.Airtime(packet.ReleaseBytes)
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.ReleaseBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
 	fireAt := m.t0 + m.local(m.slotStart(m.slot))
@@ -723,7 +186,7 @@ func (m *NodeMac) scheduleRelease() {
 		if m.gen != gen {
 			return // armed before a crash
 		}
-		if m.state != stateJoined || !m.releasePending || m.ackWaiting ||
+		if m.state != stateJoined || !m.releasePending || m.ack.open ||
 			m.loading || m.radio.Mode() == radio.ModeRx {
 			return // busy radio or pipeline; retry on the next beacon
 		}
@@ -749,22 +212,18 @@ func (m *NodeMac) scheduleRelease() {
 		}
 		m.radio.Fire(func() {
 			m.stats.ReleasesSent++
-			txDur := p.Radio.TxSettle + relAir
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotRelease, "slot=%d", m.slot)
+			m.chargeControlTx(packet.ReleaseBytes)
+			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSlotRelease, "slot=%d", m.slot)
 			m.radio.PowerDown()
 			m.park()
 		})
 	})
 }
 
-// --- steady state: data path ---------------------------------------------
-
 // tryLoad moves the head-of-queue payload into the TX FIFO when the radio
 // is free and the next beacon window is far enough away.
 func (m *NodeMac) tryLoad() {
-	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ackWaiting || len(m.queue) == 0 {
+	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ack.open || len(m.queue) == 0 {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
@@ -773,9 +232,7 @@ func (m *NodeMac) tryLoad() {
 	p := m.cfg.Profile
 	item := m.queue[0]
 	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
-	margin := 500 * sim.Microsecond
-	nextWindow := m.t0 + m.local(m.cycle-m.guard()-p.Radio.RxSettle)
-	if m.k.Now()+loadDur+margin >= nextWindow && m.cycle > 0 {
+	if m.k.Now()+loadDur+500*sim.Microsecond >= m.nextWindowOpen() && m.cycle > 0 {
 		return // too close to the beacon window; retry after the beacon
 	}
 	m.queue = m.queue[1:]
@@ -785,21 +242,6 @@ func (m *NodeMac) tryLoad() {
 		m.loading = false
 		m.loaded = true
 		m.radio.PowerDown() // FIFO retains the frame; sleep until the slot
-	})
-}
-
-// scheduleSlotFire arms this cycle's transmission at the slot boundary.
-func (m *NodeMac) scheduleSlotFire() {
-	fireAt := m.t0 + m.local(m.slotStart(m.slot))
-	if fireAt <= m.k.Now() {
-		return // our slot already passed this cycle
-	}
-	gen := m.gen
-	m.k.ScheduleAt(fireAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		m.fireSlot()
 	})
 }
 
@@ -813,170 +255,36 @@ func (m *NodeMac) fireSlot() {
 		return // window overlap guard; skip this cycle
 	}
 	m.loaded = false
-	m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotStart, "slot=%d", m.slot)
-	if m.inFlight != nil {
-		lat := m.k.Now() - m.inFlight.enqueuedAt
-		m.stats.LatencySum += lat
-		m.stats.LatencyCount++
-		if lat > m.stats.LatencyMax {
-			m.stats.LatencyMax = lat
-		}
-		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
-	}
+	m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSlotStart, "slot=%d", m.slot)
+	m.noteLatency()
 	m.radio.Fire(func() {
 		if m.inFlight == nil {
 			panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
 		}
 		m.stats.DataSent++
-		m.tracer.Recordf(m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.inFlight.payload))
+		m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.inFlight.payload))
 		m.openAckWindow()
 	})
 }
 
-// openAckWindow listens for the base station's acknowledgement.
-func (m *NodeMac) openAckWindow() {
-	p := m.cfg.Profile
-	m.ackWaiting = true
-	m.ackOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	gen := m.gen
-	m.ackTimeout = m.k.Schedule(p.MAC.AckTimeout, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onAckTimeout()
-	})
-}
-
-// handleAck closes the acknowledgement window on success.
-func (m *NodeMac) handleAck() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.tracer.Observe(m.name, trace.HistTxToAck, m.k.Now()-m.ackOpenAt)
-	m.stats.DataAcked++
-	m.inFlight = nil
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckRx, "")
-	m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, func() {
-		m.tryLoad()
-	})
-}
-
-// onAckTimeout treats the frame as lost: its transmit energy was wasted
-// (the paper's collision loss) and the frame is retried or dropped.
-func (m *NodeMac) onAckTimeout() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
-
-	p := m.cfg.Profile
-	if m.inFlight != nil {
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(len(m.inFlight.payload))
-		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
-		if m.inFlight.retries < m.cfg.MaxRetries {
-			// Requeue at the front; tryLoad applies its window-margin
-			// checks before touching the radio again.
-			m.inFlight.retries++
-			m.stats.Retries++
-			m.queue = append([]txItem{*m.inFlight}, m.queue...)
-		} else {
-			// Retries exhausted: the frame is gone for good.
-			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
-		}
-	}
-	m.inFlight = nil
-	m.tryLoad()
-}
-
-// accountControlRx charges a closed receive window to the control
-// overhead loss category.
-func (m *NodeMac) accountControlRx(d sim.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("mac %s: negative control window", m.name))
-	}
-	m.controlRxTime += d
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.RxPowerW()*d.Seconds())
-}
-
-// --- runtime audit accessors ---------------------------------------------
-
-// Generation reports the crash generation counter. It only ever grows
-// (each crash bumps it to invalidate stale kernel events), which the
-// audit engine checks across crash/reboot cycles.
-func (m *NodeMac) Generation() uint64 { return m.gen }
-
-// AckPending reports whether a transmitted data frame is still awaiting
-// its acknowledgement.
-func (m *NodeMac) AckPending() bool { return m.ackWaiting }
-
-// AuditFrame checks the frame-conservation laws against the node's live
-// counters and returns a detail string per broken law (nil when they
-// hold). Safe to call at any instant: the counters and the ack window
-// are updated atomically within each kernel event.
-func (m *NodeMac) AuditFrame() []string {
-	return AuditFrameStats(m.stats, m.carrySent, m.ackWaiting)
-}
-
-// AuditFrameStats is the pure form of the frame-conservation laws, over
-// a counter snapshot: every missed ack became a retry or a terminal
-// drop, and every transmitted burst is resolved (acked, timed out or
-// abandoned) except at most one awaiting its ack. carrySent credits a
-// frame sent before the last accounting reset whose resolution lands in
-// the current epoch (see NodeMac.ResetAccounting).
-func AuditFrameStats(s Stats, carrySent uint64, ackPending bool) []string {
-	var v []string
-	if s.AckMissed != s.Retries+s.DataDropped {
-		v = append(v, fmt.Sprintf("AckMissed %d != Retries %d + DataDropped %d",
-			s.AckMissed, s.Retries, s.DataDropped))
-	}
-	pending := uint64(0)
-	if ackPending {
-		pending = 1
-	}
-	if s.DataSent+carrySent != s.DataAcked+s.AckMissed+s.Abandoned+pending {
-		v = append(v, fmt.Sprintf(
-			"DataSent %d + carried %d != DataAcked %d + AckMissed %d + Abandoned %d + pending %d",
-			s.DataSent, carrySent, s.DataAcked, s.AckMissed, s.Abandoned, pending))
-	}
-	return v
-}
-
-// AuditSlot checks grant-window containment from the node's own view: a
+// AuditProtocol implements NodeMAC: the TDMA node's protocol-specific
+// laws check grant-window containment from the node's own view: a
 // joined node's data slot, as timed against the cycle length it learned
 // from its reference beacon, must end inside that cycle. Slot index and
 // cycle always come from the same beacon (dead reckoning keeps both),
 // so the law holds through compactions the node has not yet heard; a
 // violation means the base station granted a slot outside the frame it
 // advertised.
-func (m *NodeMac) AuditSlot() []string {
+func (m *NodeMac) AuditProtocol() []string {
 	if m.state != stateJoined || m.cycle <= 0 {
 		return nil
 	}
-	var v []string
 	if m.slot < 0 {
-		v = append(v, fmt.Sprintf("joined with invalid slot %d", m.slot))
-		return v
+		return []string{fmt.Sprintf("joined with invalid slot %d", m.slot)}
 	}
 	if end := m.slotStart(m.slot) + m.slotDuration(); end > m.cycle {
-		v = append(v, fmt.Sprintf("slot %d window ends at %v, past the %v cycle",
-			m.slot, end, m.cycle))
+		return []string{fmt.Sprintf("slot %d window ends at %v, past the %v cycle",
+			m.slot, end, m.cycle)}
 	}
-	return v
+	return nil
 }
-
-// AuditProtocol implements NodeMAC: the TDMA node's protocol-specific
-// laws are the slot-containment checks.
-func (m *NodeMac) AuditProtocol() []string { return m.AuditSlot() }
-
-var _ Mac = (*NodeMac)(nil)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -441,25 +440,6 @@ func TestLPLNoisyAcks(t *testing.T) {
 		t.Fatalf("LPL reports %v idle listening; every rx window is bounded", n1.JoinIdleTime())
 	}
 	r.auditAll("noisy return path")
-
-	// The LPL BS accepts a voluntary release for protocol symmetry even
-	// though its own nodes park silently: a non-member release is ignored,
-	// a member release retires the entry immediately.
-	lbs := r.bs.(*LPLBS)
-	before := lbs.Stats().SlotsReleased
-	lbs.handleRelease(packet.Release{NodeID: 99})
-	if got := lbs.Stats().SlotsReleased; got != before {
-		t.Fatalf("non-member release was booked: %d -> %d", before, got)
-	}
-	lbs.handleRelease(packet.Release{NodeID: 1})
-	if got := lbs.Stats().SlotsReleased; got != before+1 {
-		t.Fatalf("member release not booked: %d -> %d", before, got)
-	}
-	for _, id := range lbs.Nodes() {
-		if id == 1 {
-			t.Fatalf("BS still lists the released node: %v", lbs.Nodes())
-		}
-	}
 }
 
 // TestTDMAViaRegistry drives both TDMA flavours through the registry
@@ -540,11 +520,11 @@ func TestCrashWhileAckPending(t *testing.T) {
 			pending := func() bool {
 				switch n := n1.(type) {
 				case *NodeMac:
-					return n.AckPending()
+					return n.ack.open
 				case *CSMANode:
-					return n.ackWaiting
+					return n.ack.open
 				case *LPLNode:
-					return n.ackWaiting
+					return n.ack.open
 				}
 				return false
 			}

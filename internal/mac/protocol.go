@@ -5,10 +5,10 @@ import (
 	"sort"
 
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Protocol names a registered MAC protocol. The two TDMA flavours keep
@@ -92,7 +92,7 @@ const maxLPLCheckInterval = sim.Second
 type NodeMAC interface {
 	Mac
 	// Crash models a node power loss: all protocol state is forgotten
-	// and every armed event is invalidated (see NodeMac.Crash).
+	// and every armed event is invalidated (see nodeCore.Crash).
 	Crash()
 	// SetSlotStretch skips every k-th transmission opportunity — the
 	// duty-cycle-stretch rung of the degradation ladder. k < 2 disables.
@@ -154,9 +154,9 @@ type Descriptor struct {
 	Validate func(p Params) error
 	// NewNode and NewBS build the two sides over the shared stack.
 	NewNode func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC
+		ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC
 	NewBS func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *trace.Recorder) BSMAC
+		ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC
 }
 
 var registry = map[Protocol]Descriptor{}
@@ -186,36 +186,32 @@ func Protocols() []Protocol {
 	return out
 }
 
-// resolve names the protocol a config selects: the explicit Protocol
-// field when set, else the one derived from the TDMA Variant.
-func resolveProtocol(explicit Protocol, v Variant) Protocol {
-	if explicit != "" {
-		return explicit
+// descriptorFor resolves the protocol a config selects — the explicit
+// Protocol field when set, else the one derived from the TDMA Variant —
+// and panics on an unregistered name.
+func descriptorFor(explicit Protocol, v Variant) Descriptor {
+	name := explicit
+	if name == "" {
+		name = v.Protocol()
 	}
-	return v.Protocol()
-}
-
-// NewNode builds the node-side MAC for cfg's protocol via the registry.
-func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
-	name := resolveProtocol(cfg.Protocol, cfg.Variant)
 	d, ok := Lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("mac: unknown protocol %q", name))
 	}
-	return d.NewNode(k, cfg, sched, r, ledger, tracer)
+	return d
+}
+
+// NewNode builds the node-side MAC for cfg's protocol via the registry.
+func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
+	ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
+	return descriptorFor(cfg.Protocol, cfg.Variant).NewNode(k, cfg, sched, r, ledger, tracer)
 }
 
 // NewBaseMAC builds the base-station MAC for cfg's protocol via the
 // registry.
 func NewBaseMAC(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
-	name := resolveProtocol(cfg.Protocol, cfg.Variant)
-	d, ok := Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("mac: unknown protocol %q", name))
-	}
-	return d.NewBS(k, cfg, sched, r, ledger, tracer)
+	ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
+	return descriptorFor(cfg.Protocol, cfg.Variant).NewBS(k, cfg, sched, r, ledger, tracer)
 }
 
 // validateTDMAParams rejects any contention tuning on a TDMA protocol:
@@ -271,46 +267,34 @@ func validateLPLParams(p Params) error {
 }
 
 func init() {
-	register(Descriptor{
-		Name:     ProtoStatic,
-		Caps:     Capabilities{Slotted: true, Beacons: true},
-		Validate: validateTDMAParams,
-		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
-			cfg.Variant = Static
-			return NewNodeMac(k, cfg, sched, r, ledger, tracer)
-		},
-		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
-			cfg.Variant = Static
-			return NewBS(k, cfg, sched, r, ledger, tracer)
-		},
-	})
-	register(Descriptor{
-		Name:     ProtoDynamic,
-		Caps:     Capabilities{Slotted: true, Beacons: true},
-		Validate: validateTDMAParams,
-		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
-			cfg.Variant = Dynamic
-			return NewNodeMac(k, cfg, sched, r, ledger, tracer)
-		},
-		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
-			cfg.Variant = Dynamic
-			return NewBS(k, cfg, sched, r, ledger, tracer)
-		},
-	})
+	for _, v := range []Variant{Static, Dynamic} {
+		v := v
+		register(Descriptor{
+			Name:     v.Protocol(),
+			Caps:     Capabilities{Slotted: true, Beacons: true},
+			Validate: validateTDMAParams,
+			NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
+				ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
+				cfg.Variant = v
+				return NewNodeMac(k, cfg, sched, r, ledger, tracer)
+			},
+			NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
+				ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
+				cfg.Variant = v
+				return NewBS(k, cfg, sched, r, ledger, tracer)
+			},
+		})
+	}
 	register(Descriptor{
 		Name:     ProtoCSMA,
 		Caps:     Capabilities{Contention: true, Beacons: true},
 		Validate: validateCSMAParams,
 		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 			return NewCSMANode(k, cfg, sched, r, ledger, tracer)
 		},
 		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 			return NewCSMABS(k, cfg, sched, r, ledger, tracer)
 		},
 	})
@@ -319,17 +303,12 @@ func init() {
 		Caps:     Capabilities{Contention: true},
 		Validate: validateLPLParams,
 		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 			return NewLPLNode(k, cfg, sched, r, ledger, tracer)
 		},
 		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 			return NewLPLBS(k, cfg, sched, r, ledger, tracer)
 		},
 	})
 }
-
-var (
-	_ NodeMAC = (*NodeMac)(nil)
-	_ BSMAC   = (*BS)(nil)
-)

@@ -36,6 +36,53 @@ func TestRecorderCountsSurviveRingLimit(t *testing.T) {
 	}
 }
 
+func TestRecorderQueries(t *testing.T) {
+	r := NewRecorder(0)
+	r.Record(0, "bs", KindBeaconTx, "seq=0")
+	r.Record(5*sim.Millisecond, "node1", KindBeaconRx, "seq=0")
+	r.Recordf(6*sim.Millisecond, "node1", KindSSRTx, "nonce=%d", 42)
+	r.Record(30*sim.Millisecond, "bs", KindBeaconTx, "seq=1")
+
+	if got := len(r.Events()); got != 4 {
+		t.Fatalf("events = %d, want 4", got)
+	}
+	if got := r.Count(KindBeaconTx); got != 2 {
+		t.Fatalf("beacon-tx count = %d, want 2", got)
+	}
+	by := r.ByNode("node1")
+	if len(by) != 2 || by[1].Detail != "nonce=42" {
+		t.Fatalf("ByNode = %+v", by)
+	}
+	f := r.Filter(KindSSRTx)
+	if len(f) != 1 || f[0].At != 6*sim.Millisecond {
+		t.Fatalf("Filter = %+v", f)
+	}
+}
+
+func TestRecorderRenderLines(t *testing.T) {
+	r := NewRecorder(0)
+	r.Record(30*sim.Millisecond, "bs", KindBeaconTx, "seq=1")
+	r.Record(31*sim.Millisecond, "node2", KindBeaconRx, "")
+	out := r.Render()
+	if !strings.Contains(out, "beacon-tx") || !strings.Contains(out, "seq=1") {
+		t.Fatalf("render missing content:\n%s", out)
+	}
+	if lines := strings.Count(out, "\n"); lines != 2 {
+		t.Fatalf("render lines = %d, want 2", lines)
+	}
+}
+
+func TestEventString(t *testing.T) {
+	e := Event{At: 30 * sim.Millisecond, Node: "bs", Kind: KindBeaconTx}
+	if !strings.Contains(e.String(), "30.000ms") {
+		t.Fatalf("String() = %q", e.String())
+	}
+	e.Detail = "seq=3"
+	if !strings.Contains(e.String(), "seq=3") {
+		t.Fatalf("String() with detail = %q", e.String())
+	}
+}
+
 func TestRecorderRenderReportsDrops(t *testing.T) {
 	r := NewRecorder(1)
 	r.Record(0, "bs", KindBeaconTx, "")
@@ -80,7 +127,8 @@ func TestNilRecorder(t *testing.T) {
 	r.ResetDerived()
 	if r.Count(KindDataTx) != 0 || r.Events() != nil || r.Render() != "" ||
 		r.Dropped() != 0 || r.Recorded() != 0 || r.CounterRows() != nil ||
-		r.HistRows() != nil || r.Histogram("n", HistSlotWait) != nil {
+		r.HistRows() != nil || r.Histogram("n", HistSlotWait) != nil ||
+		r.Filter(KindDataTx) != nil || r.ByNode("n") != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 }

@@ -14,12 +14,12 @@ import (
 	"repro/internal/energy"
 	"repro/internal/mac"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // batteryPollInterval is how often a battery-powered node settles its
@@ -46,7 +46,7 @@ type Sensor struct {
 	Bat *battery.State
 
 	k          *sim.Kernel
-	tracer     *trace.Recorder
+	tracer     *metrics.Recorder
 	onBrownout func()
 }
 
@@ -110,7 +110,7 @@ func WithBattery(cell battery.Battery, brownoutV float64, policy *battery.Degrad
 
 // NewSensor builds the hardware/OS/MAC stack for node id on the shared
 // medium. Attach an application with AttachApp before Start.
-func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
+func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	id uint8, prof platform.Profile, variant mac.Variant, opts ...Option) *Sensor {
 	o := sensorOpts{
 		name: fmt.Sprintf("node%d", id),
@@ -150,7 +150,7 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
 }
 
 // Env builds the application environment over this node's facilities.
-func (s *Sensor) Env(tracer *trace.Recorder) app.Env {
+func (s *Sensor) Env(tracer *metrics.Recorder) app.Env {
 	return app.Env{
 		Sched:    s.Sched,
 		Frontend: s.Frontend,
@@ -162,7 +162,7 @@ func (s *Sensor) Env(tracer *trace.Recorder) app.Env {
 }
 
 // AttachApp installs the application built by the factory.
-func (s *Sensor) AttachApp(build func(env app.Env) app.App, tracer *trace.Recorder) {
+func (s *Sensor) AttachApp(build func(env app.Env) app.App, tracer *metrics.Recorder) {
 	if s.App != nil {
 		panic("node: application already attached")
 	}
@@ -210,10 +210,10 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 		return false
 	}
 	if tr.From > battery.LevelNormal && tr.TimeInFrom > 0 {
-		s.tracer.Observe(s.Name, trace.HistDegraded, tr.TimeInFrom)
+		s.tracer.Observe(s.Name, metrics.HistDegraded, tr.TimeInFrom)
 	}
 	if tr.Died {
-		s.tracer.Recordf(now, s.Name, trace.KindBrownout, "v=%.2f soc=%.1f%%",
+		s.tracer.Recordf(now, s.Name, metrics.KindBrownout, "v=%.2f soc=%.1f%%",
 			s.Bat.VoltageV(), s.Bat.SOC()*100)
 		s.Crash()
 		if s.onBrownout != nil {
@@ -242,7 +242,7 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 			// either is a battery state-machine bug.
 			panic("node: degradation walk reached " + lvl.String() + " without a brownout")
 		}
-		s.tracer.Recordf(now, s.Name, trace.KindDegrade, "level=%s soc=%.1f%%",
+		s.tracer.Recordf(now, s.Name, metrics.KindDegrade, "level=%s soc=%.1f%%",
 			lvl, s.Bat.SOC()*100)
 	}
 	return false
@@ -260,7 +260,7 @@ func (s *Sensor) FinalizeBattery(now sim.Time) *battery.Report {
 	}
 	if lvl := s.Bat.Level(); lvl > battery.LevelNormal && lvl < battery.LevelDead {
 		if open := now - s.Bat.LevelSince(); open > 0 {
-			s.tracer.Observe(s.Name, trace.HistDegraded, open)
+			s.tracer.Observe(s.Name, metrics.HistDegraded, open)
 		}
 	}
 	rep := s.Bat.Snapshot(now)
@@ -368,7 +368,7 @@ func WithBaseProtocol(proto mac.Protocol, params mac.Params) BaseOption {
 }
 
 // NewBase builds the base-station stack.
-func NewBase(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
+func NewBase(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	variant mac.Variant, staticCycle sim.Time, maxSlots int, opts ...BaseOption) *Base {
 	prof := platform.BaseStation()
 	ledger := energy.NewLedger()

@@ -7,16 +7,16 @@ import (
 	"repro/internal/channel"
 	"repro/internal/ecg"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 type rig struct {
 	k      *sim.Kernel
 	ch     *channel.Channel
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 	base   *Base
 }
 
@@ -24,7 +24,7 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.NewKernel(1)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	return &rig{
 		k: k, ch: ch, tracer: tracer,
 		base: NewBase(k, ch, tracer, mac.Static, 30*sim.Millisecond, 0),
@@ -157,7 +157,7 @@ func TestSensorOptions(t *testing.T) {
 func TestBaseOptionPlanAndName(t *testing.T) {
 	k := sim.NewKernel(2)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	plan := packet.PlanForNetwork(4)
 	b := NewBase(k, ch, tracer, mac.Static, 30*sim.Millisecond, 0,
 		WithBaseAddressPlan("bs4", plan))

@@ -20,11 +20,11 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Mode is the radio's operating mode.
@@ -83,7 +83,7 @@ type Radio struct {
 	sched  *tinyos.Sched
 	meter  *energy.Meter
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	mode      Mode
 	rxSince   sim.Time // listening valid from this instant (after settle)
@@ -118,7 +118,7 @@ type Radio struct {
 // New creates a radio, registers its energy meter and attaches it to the
 // medium. The radio starts powered down.
 func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Channel,
-	sched *tinyos.Sched, ledger *energy.Ledger, tracer *trace.Recorder) *Radio {
+	sched *tinyos.Sched, ledger *energy.Ledger, tracer *metrics.Recorder) *Radio {
 	v := params.VoltageV
 	meter := energy.NewMeter(platform.ComponentRadio, map[energy.State]energy.Draw{
 		platform.StateRadioOff:     {},
@@ -367,7 +367,7 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 		r.stats.CRCDrops++
 		r.ledger.AttributeLoss(energy.LossCollision, r.RxPowerW()*air.Seconds())
 		//lint:allow hotalloc trace formatting boxes its args; CRC drops are exceptional events, not steady state
-		r.tracer.Recordf(r.k.Now(), r.name, trace.KindCRCDrop, "cause=%v", cause)
+		r.tracer.Recordf(r.k.Now(), r.name, metrics.KindCRCDrop, "cause=%v", cause)
 		return
 	}
 	if !r.rxAddrs[frame.Dest] {
@@ -375,7 +375,7 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 		r.stats.AddrDrops++
 		r.ledger.AttributeLoss(energy.LossOverhearing, r.RxPowerW()*air.Seconds())
 		//lint:allow hotalloc trace formatting boxes its args; overheard frames are exceptional, not steady state
-		r.tracer.Recordf(r.k.Now(), r.name, trace.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
+		r.tracer.Recordf(r.k.Now(), r.name, metrics.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
 		return
 	}
 
