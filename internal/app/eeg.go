@@ -39,10 +39,12 @@ type EEGPower struct {
 	env Env
 	cfg EEGPowerConfig
 
-	accum   []int64 // sum of |x - mid| per channel, this window
-	samples int
-	perWin  int
-	seq     uint8
+	accum     []int64                  // sum of |x - mid| per channel, this window
+	isrs      deferred[[]codec.Sample] // one acquisition's samples each
+	summaries deferred[eegWindow]      // one finished window each
+	samples   int
+	perWin    int
+	seq       uint8
 
 	windows uint64
 	sent    uint64
@@ -80,6 +82,8 @@ func NewEEGPower(env Env, cfg EEGPowerConfig) *EEGPower {
 	if e.perWin < 1 {
 		e.perWin = 1
 	}
+	e.isrs.run = e.accumulate
+	e.summaries.run = func(w *eegWindow) { e.emit(w.sums, w.n) }
 	channels := make([]int, cfg.Channels)
 	for i := range channels {
 		channels[i] = i
@@ -155,38 +159,49 @@ func (e *EEGPower) ResetCounters() {
 	e.dropped = 0
 }
 
+// eegWindow is one finished window awaiting its summary task.
+type eegWindow struct {
+	sums []int64
+	n    int64
+}
+
 // onAcquisition accumulates per-channel activity; at window end the
 // summary is chunked into frames.
 func (e *EEGPower) onAcquisition(i int64, samples []codec.Sample) {
 	// Per-acquisition cost: one accumulate per channel, cheaper than a
 	// detector call.
 	cycles := e.env.Cost.RpeakAcquirePair + int64(len(samples))*60
-	e.env.Sched.Interrupt("eeg-sample", cycles, func() {
-		const mid = int64(codec.MaxSample) / 2
-		for ch, s := range samples {
-			d := int64(s) - mid
-			if d < 0 {
-				d = -d
-			}
-			e.accum[ch] += d
+	it := e.isrs.get()
+	it.val = append(it.val[:0], samples...)
+	e.env.Sched.Interrupt("eeg-sample", cycles, it.call)
+}
+
+// accumulate is the acquisition ISR.
+func (e *EEGPower) accumulate(samples *[]codec.Sample) {
+	const mid = int64(codec.MaxSample) / 2
+	for ch, s := range *samples {
+		d := int64(s) - mid
+		if d < 0 {
+			d = -d
 		}
-		e.samples++
-		if e.samples < e.perWin {
-			return
-		}
-		window := make([]int64, len(e.accum))
-		copy(window, e.accum)
-		n := int64(e.samples)
-		for ch := range e.accum {
-			e.accum[ch] = 0
-		}
-		e.samples = 0
-		e.windows++
-		// Summarising and chunking is a deferred task.
-		e.env.Sched.PostFn("eeg-summarise", int64(len(window))*180, func() {
-			e.emit(window, n)
-		})
-	})
+		e.accum[ch] += d
+	}
+	e.samples++
+	if e.samples < e.perWin {
+		return
+	}
+	it := e.summaries.get()
+	it.val.sums = append(it.val.sums[:0], e.accum...)
+	it.val.n = int64(e.samples)
+	for ch := range e.accum {
+		e.accum[ch] = 0
+	}
+	e.samples = 0
+	e.windows++
+	// Summarising and chunking is a deferred task.
+	if !e.env.Sched.PostFn("eeg-summarise", int64(len(it.val.sums))*180, it.call) {
+		e.summaries.drop(it)
+	}
 }
 
 // emit chunks the per-channel means into frames of channelsPerPacket.

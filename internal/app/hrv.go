@@ -29,10 +29,12 @@ type HRV struct {
 	env Env
 	cfg HRVConfig
 
-	detector *ecg.Detector
-	lastBeat int64 // sample index of the previous beat (-1 = none)
-	sample   int64
-	rrs      []float64 // RR intervals of the open window, seconds
+	detector  *ecg.Detector
+	lastBeat  int64 // sample index of the previous beat (-1 = none)
+	sample    int64
+	rrs       []float64              // RR intervals of the open window, seconds
+	isrs      deferred[codec.Sample] // one acquisition's lead sample each
+	summaries deferred[[]float64]    // one finished window each
 
 	windows uint64
 	beats   uint64
@@ -66,6 +68,8 @@ func NewHRV(env Env, cfg HRVConfig) *HRV {
 		detector: ecg.NewDetector(cfg.SampleRateHz),
 		lastBeat: -1,
 	}
+	h.isrs.run = h.detect
+	h.summaries.run = func(rrs *[]float64) { h.sendSummary(*rrs) }
 	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), []int{0}, h.onAcquisition)
 	return h
 }
@@ -127,33 +131,39 @@ func (h *HRV) ResetCounters() {
 func (h *HRV) onAcquisition(i int64, samples []codec.Sample) {
 	// Detector cost per sample plus a small RR bookkeeping charge.
 	cycles := h.env.Cost.RpeakAcquirePair + h.env.Cost.RpeakPerChannelSample
-	h.env.Sched.Interrupt("hrv-sample", cycles, func() {
-		idx := h.sample
-		h.sample++
-		lag := h.detector.Push(samples[0])
-		if lag == 0 {
-			return
-		}
-		beatAt := idx - int64(lag)
-		h.beats++
-		if h.lastBeat >= 0 {
-			rr := float64(beatAt-h.lastBeat) / h.cfg.SampleRateHz
-			h.rrs = append(h.rrs, rr)
-		}
-		h.lastBeat = beatAt
-		if len(h.rrs) < h.cfg.WindowBeats {
-			return
-		}
-		window := h.rrs
-		h.rrs = nil
-		h.windows++
-		// Summarising a window is a deferred task; its cost scales with
-		// the window length (fixed-point statistics on the MSP430).
-		statCycles := int64(len(window)) * 220
-		h.env.Sched.PostFn("hrv-summarise", statCycles, func() {
-			h.sendSummary(window)
-		})
-	})
+	it := h.isrs.get()
+	it.val = samples[0]
+	h.env.Sched.Interrupt("hrv-sample", cycles, it.call)
+}
+
+// detect is the acquisition ISR.
+func (h *HRV) detect(sample *codec.Sample) {
+	idx := h.sample
+	h.sample++
+	lag := h.detector.Push(*sample)
+	if lag == 0 {
+		return
+	}
+	beatAt := idx - int64(lag)
+	h.beats++
+	if h.lastBeat >= 0 {
+		rr := float64(beatAt-h.lastBeat) / h.cfg.SampleRateHz
+		h.rrs = append(h.rrs, rr)
+	}
+	h.lastBeat = beatAt
+	if len(h.rrs) < h.cfg.WindowBeats {
+		return
+	}
+	it := h.summaries.get()
+	it.val = append(it.val[:0], h.rrs...)
+	h.rrs = h.rrs[:0]
+	h.windows++
+	// Summarising a window is a deferred task; its cost scales with
+	// the window length (fixed-point statistics on the MSP430).
+	statCycles := int64(len(it.val)) * 220
+	if !h.env.Sched.PostFn("hrv-summarise", statCycles, it.call) {
+		h.summaries.drop(it)
+	}
 }
 
 // sendSummary computes the window statistics and queues the packet.

@@ -30,6 +30,8 @@ type Rpeak struct {
 	cfg RpeakConfig
 
 	detectors []*ecg.Detector
+	isrs      deferred[[]codec.Sample] // one acquisition's samples each
+	beatPkts  deferred[packet.Beat]    // one detected beat each
 	beats     uint64
 	sent      uint64
 	dropped   uint64
@@ -53,6 +55,8 @@ func NewRpeak(env Env, cfg RpeakConfig) *Rpeak {
 		panic("app: rpeak needs a signal source")
 	}
 	r := &Rpeak{env: env, cfg: cfg}
+	r.isrs.run = r.detect
+	r.beatPkts.run = r.assemble
 	r.detectors = make([]*ecg.Detector, cfg.Channels)
 	for ch := range r.detectors {
 		r.detectors[ch] = ecg.NewDetector(cfg.SampleRateHz)
@@ -126,24 +130,36 @@ func (r *Rpeak) onAcquisition(i int64, samples []codec.Sample) {
 	// Acquisition plus one detector call per channel.
 	cycles := r.env.Cost.RpeakAcquirePair +
 		int64(len(samples))*r.env.Cost.RpeakPerChannelSample
-	r.env.Sched.Interrupt("rpeak-sample", cycles, func() {
-		for ch, s := range samples {
-			lag := r.detectors[ch].Push(s)
-			if lag == 0 {
-				continue
-			}
-			r.beats++
-			r.env.Tracer.Recordf(r.env.Sched.Kernel().Now(), r.env.NodeName, metrics.KindBeat,
-				"ch=%d lag=%d", ch, lag)
-			r.seq++
-			beat := packet.Beat{Channel: uint8(ch), Lag: uint16(lag), Seq: r.seq}
-			r.env.Sched.PostFn("rpeak-assemble", r.env.Cost.BeatPacketAssembly, func() {
-				if r.env.Mac.Send(beat.Marshal()) {
-					r.sent++
-				} else {
-					r.dropped++
-				}
-			})
+	it := r.isrs.get()
+	it.val = append(it.val[:0], samples...)
+	r.env.Sched.Interrupt("rpeak-sample", cycles, it.call)
+}
+
+// detect is the acquisition ISR: one detector step per channel, and a
+// deferred beat packet per detection.
+func (r *Rpeak) detect(samples *[]codec.Sample) {
+	for ch, s := range *samples {
+		lag := r.detectors[ch].Push(s)
+		if lag == 0 {
+			continue
 		}
-	})
+		r.beats++
+		r.env.Tracer.Recordf(r.env.Sched.Kernel().Now(), r.env.NodeName, metrics.KindBeat,
+			"ch=%d lag=%d", ch, lag)
+		r.seq++
+		it := r.beatPkts.get()
+		it.val = packet.Beat{Channel: uint8(ch), Lag: uint16(lag), Seq: r.seq}
+		if !r.env.Sched.PostFn("rpeak-assemble", r.env.Cost.BeatPacketAssembly, it.call) {
+			r.beatPkts.drop(it)
+		}
+	}
+}
+
+// assemble marshals one beat packet and hands it to the MAC.
+func (r *Rpeak) assemble(beat *packet.Beat) {
+	if r.env.Mac.Send(beat.Marshal()) {
+		r.sent++
+	} else {
+		r.dropped++
+	}
 }

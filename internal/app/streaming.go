@@ -30,6 +30,8 @@ type Streaming struct {
 	cfg StreamingConfig
 
 	buf     []codec.Sample
+	isrs    deferred[[]codec.Sample] // one acquisition's samples each
+	batches deferred[[]codec.Sample] // one packet's samples each
 	sent    uint64
 	dropped uint64
 	running bool
@@ -55,6 +57,8 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 		panic("app: streaming needs a signal source")
 	}
 	s := &Streaming{env: env, cfg: cfg}
+	s.isrs.run = s.buffer
+	s.batches.run = s.assemble
 
 	channels := make([]int, cfg.Channels)
 	for i := range channels {
@@ -117,22 +121,34 @@ func (s *Streaming) ResetCounters() {
 // onAcquisition runs in hardware-event context for each sample set.
 func (s *Streaming) onAcquisition(i int64, samples []codec.Sample) {
 	// The per-pair cost covers the acquisition ISR and buffering.
-	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, func() {
-		s.buf = append(s.buf, samples...)
-		if len(s.buf) < s.cfg.SamplesPerPacket {
-			return
-		}
-		batch := make([]codec.Sample, s.cfg.SamplesPerPacket)
-		copy(batch, s.buf[:s.cfg.SamplesPerPacket])
-		s.buf = s.buf[s.cfg.SamplesPerPacket:]
-		// Packet assembly is a deferred task (header + packing).
-		s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, func() {
-			payload := codec.Pack(batch)
-			if s.env.Mac.Send(payload) {
-				s.sent++
-			} else {
-				s.dropped++
-			}
-		})
-	})
+	it := s.isrs.get()
+	it.val = append(it.val[:0], samples...)
+	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, it.call)
+}
+
+// buffer is the acquisition ISR: it appends one sample set and, once a
+// payload's worth has accumulated, defers the packet assembly.
+func (s *Streaming) buffer(samples *[]codec.Sample) {
+	s.buf = append(s.buf, *samples...)
+	n := s.cfg.SamplesPerPacket
+	if len(s.buf) < n {
+		return
+	}
+	it := s.batches.get()
+	it.val = append(it.val[:0], s.buf[:n]...)
+	s.buf = s.buf[:copy(s.buf, s.buf[n:])]
+	// Packet assembly is a deferred task (header + packing).
+	if !s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, it.call) {
+		s.batches.drop(it)
+	}
+}
+
+// assemble packs one batch and hands it to the MAC.
+func (s *Streaming) assemble(batch *[]codec.Sample) {
+	payload := codec.Pack(*batch)
+	if s.env.Mac.Send(payload) {
+		s.sent++
+	} else {
+		s.dropped++
+	}
 }

@@ -31,6 +31,9 @@ func (f SourceFunc) Sample(ch int, i int64) codec.Sample { return f(ch, i) }
 // SampleHandler receives one acquisition: the sample index and the
 // conversions of the enabled channels, in channel order. It runs in
 // hardware-event context; implementations charge their own MCU cycles.
+// The samples slice is the front-end's conversion buffer and is
+// overwritten by the next acquisition: a handler that defers work must
+// copy the samples first.
 type SampleHandler func(i int64, samples []codec.Sample)
 
 // Frontend is one ASIC instance.
@@ -42,6 +45,7 @@ type Frontend struct {
 	source   Source
 	channels []int
 	onSample SampleHandler
+	samples  []codec.Sample // conversion buffer, reused every tick
 
 	timer   *sim.Timer
 	idx     int64
@@ -78,6 +82,7 @@ func (f *Frontend) Configure(src Source, channels []int, h SampleHandler) {
 	}
 	f.source = src
 	f.channels = append([]int(nil), channels...)
+	f.samples = make([]codec.Sample, len(channels))
 	f.onSample = h
 }
 
@@ -130,12 +135,14 @@ func (f *Frontend) Running() bool { return f.running }
 // SamplesTaken reports how many acquisitions have completed.
 func (f *Frontend) SamplesTaken() int64 { return f.idx }
 
+// tick converts one acquisition into the reused sample buffer.
+//
+//hot:path
 func (f *Frontend) tick() {
-	samples := make([]codec.Sample, len(f.channels))
 	for j, ch := range f.channels {
-		samples[j] = f.source.Sample(ch, f.idx)
+		f.samples[j] = f.source.Sample(ch, f.idx)
 	}
 	i := f.idx
 	f.idx++
-	f.onSample(i, samples)
+	f.onSample(i, f.samples)
 }

@@ -122,6 +122,7 @@ type Stats struct {
 }
 
 type transmission struct {
+	idx   int // position in Channel.txs: the end-of-frame event's arg
 	from  Transceiver
 	image []byte
 	start sim.Time
@@ -147,24 +148,30 @@ type Channel struct {
 	jamDepth int
 	active   []*transmission
 	stats    Stats
-	// txPool recycles transmission records (and their image buffers)
-	// once finishTx has delivered them, so steady-state traffic stops
-	// allocating per frame. corruptBuf is the scratch a corrupted copy
-	// is built in; receivers copy the image out synchronously inside
-	// Deliver, so one buffer serves every delivery.
-	txPool     []*transmission
+	// txs holds every transmission record ever allocated and txFree the
+	// indices of those finishTx has delivered, so records (and their
+	// image buffers) are recycled and steady-state traffic stops
+	// allocating per frame. The end-of-frame event is onFinish (finishTx
+	// bound once) with the record's index as its arg. corruptBuf is the
+	// scratch a corrupted copy is built in; receivers copy the image out
+	// synchronously inside Deliver, so one buffer serves every delivery.
+	txs        []*transmission
+	txFree     []int
+	onFinish   sim.ArgHandler
 	corruptBuf []byte
 }
 
 // New creates an empty medium on the kernel.
 func New(k *sim.Kernel) *Channel {
-	return &Channel{
+	c := &Channel{
 		k:         k,
 		byID:      make(map[string]Transceiver),
 		links:     make(map[[2]string]Link),
 		burstBad:  make(map[[2]string]bool),
 		blackouts: make(map[[2]string]int),
 	}
+	c.onFinish = c.finishTx
+	return c
 }
 
 // Attach adds a radio to the medium. IDs must be unique.
@@ -251,18 +258,21 @@ func (c *Channel) Stats() Stats { return c.stats }
 // airtime. Any temporal overlap with another in-flight frame corrupts
 // both (single interference domain). Delivery to each listening radio
 // happens at end-of-frame.
+//
+//hot:path
 func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	if airtime <= 0 {
 		panic("channel: non-positive airtime")
 	}
 	now := c.k.Now()
 	var tx *transmission
-	if n := len(c.txPool); n > 0 {
-		tx = c.txPool[n-1]
-		c.txPool = c.txPool[:n-1]
+	if n := len(c.txFree); n > 0 {
+		tx = c.txs[c.txFree[n-1]]
+		c.txFree = c.txFree[:n-1]
 	} else {
-		//lint:allow hotalloc pool-miss growth only; steady state recycles transmissions through txPool
-		tx = &transmission{}
+		//lint:allow hotalloc pool-miss growth only; steady state recycles transmissions through txFree
+		tx = &transmission{idx: len(c.txs)}
+		c.txs = append(c.txs, tx)
 	}
 	tx.from = from
 	tx.image = append(tx.image[:0], image...)
@@ -290,12 +300,15 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	}
 	c.active = append(c.active, tx)
 	c.stats.Transmissions++
-
-	//lint:allow hotalloc the end-of-frame closure is the kernel handler ABI: one bounded allocation per transmission
-	c.k.ScheduleAt(tx.end, func(*sim.Kernel) { c.finishTx(tx) })
+	c.k.ScheduleArg(tx.end, c.onFinish, uint64(tx.idx))
 }
 
-func (c *Channel) finishTx(tx *transmission) {
+// finishTx delivers transmission txs[idx] at its end of frame and
+// recycles the record.
+//
+//hot:path
+func (c *Channel) finishTx(_ *sim.Kernel, idx uint64) {
+	tx := c.txs[idx]
 	// Drop tx from the active list.
 	for i, a := range c.active {
 		if a == tx {
@@ -363,7 +376,7 @@ func (c *Channel) finishTx(tx *transmission) {
 		rx.Deliver(image, cause)
 	}
 	tx.from = nil
-	c.txPool = append(c.txPool, tx)
+	c.txFree = append(c.txFree, tx.idx)
 }
 
 // corruptCopy flips one to three bits of a copy of image so that the

@@ -107,7 +107,7 @@ func (g *Generator) ValueAt(t float64) float64 {
 	k := int64(math.Floor(t / g.period))
 	var v float64
 	// Neighbouring beats can contribute through their P/T tails.
-	for _, dk := range []int64{-1, 0, 1} {
+	for dk := int64(-1); dk <= 1; dk++ {
 		r := g.beatTime(k + dk)
 		for _, w := range pqrst {
 			d := t - (r + w.offset)

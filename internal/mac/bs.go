@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/energy"
@@ -119,6 +120,18 @@ type bsCore struct {
 	// ackFlown runs once a data acknowledgement has flown, returning the
 	// receiver to the protocol's listening state; bound at construction.
 	ackFlown func()
+	// The acknowledgement pipeline runs on steps bound once (see bind),
+	// with each stage's pending work queued in order: acks awaits the
+	// turnaround ISR, ackLoads the FIFO load, forwards the data-handle
+	// task. The base station never crashes, so every stage completes in
+	// issue order.
+	acks          []ackJob
+	ackLoads      []RxRecord
+	forwards      []RxRecord
+	ackTurnaround func()
+	ackLoaded     func()
+	ackSent       func()
+	forward       func()
 	// inBeaconPrep marks a beaconed base station's SB region: from beacon
 	// preparation until the beacon has flown, the radio is owned by the
 	// beacon path and data acknowledgements are suppressed (the sender
@@ -146,6 +159,21 @@ func newBSCore(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 		slotNode: make(map[int]uint8),
 		silent:   make(map[uint8]int),
 	}
+}
+
+// ackJob is one data acknowledgement awaiting its turnaround.
+type ackJob struct {
+	node uint8
+	rec  RxRecord
+}
+
+// bind binds the core's steps once the core sits at its final address
+// inside the protocol's base station.
+func (b *bsCore) bind() {
+	b.ackTurnaround = b.onAckTurnaround
+	b.ackLoaded = b.onAckLoaded
+	b.ackSent = b.onAckSent
+	b.forward = b.onForward
 }
 
 // OnData registers a callback for each accepted data frame (the "forward
@@ -303,26 +331,45 @@ func (b *bsCore) accept(node uint8, payload []byte) RxRecord {
 // the ack is on its way, so it cannot delay the FIFO load past the
 // sender's listen window.
 func (b *bsCore) ackData(node uint8, rec RxRecord) {
-	p := b.cfg.Profile
-	b.sched.Interrupt("bs-ack-turnaround", p.Cost.BSAckTurnaround, func() {
-		if b.inBeaconPrep {
-			return
-		}
-		b.radio.Standby()
-		b.ackBuf = packet.Ack{}.AppendMarshal(b.ackBuf[:0])
-		b.radio.Load(b.cfg.Plan.NodeAddr(node), b.ackBuf, func() {
-			b.radio.Fire(func() {
-				b.stats.AcksSent++
-				b.ackFlown()
-			})
-			// Forwarding to the collecting device, off the fast path.
-			b.sched.PostFn("bs-data-handle", p.Cost.BSDataHandle, func() {
-				if b.onData != nil {
-					b.onData(rec)
-				}
-			})
-		})
-	})
+	b.acks = append(b.acks, ackJob{node: node, rec: rec})
+	b.sched.Interrupt("bs-ack-turnaround", b.cfg.Profile.Cost.BSAckTurnaround, b.ackTurnaround)
+}
+
+// onAckTurnaround loads the acknowledgement unless beacon preparation
+// took the radio meanwhile.
+func (b *bsCore) onAckTurnaround() {
+	j := popFront(&b.acks)
+	if b.inBeaconPrep {
+		return
+	}
+	b.radio.Standby()
+	b.ackBuf = packet.Ack{}.AppendMarshal(b.ackBuf[:0])
+	b.ackLoads = append(b.ackLoads, j.rec)
+	b.radio.Load(b.cfg.Plan.NodeAddr(j.node), b.ackBuf, b.ackLoaded)
+}
+
+// onAckLoaded fires the acknowledgement and posts the forwarding task.
+func (b *bsCore) onAckLoaded() {
+	rec := popFront(&b.ackLoads)
+	b.radio.Fire(b.ackSent)
+	// Forwarding to the collecting device, off the fast path.
+	b.forwards = append(b.forwards, rec)
+	if !b.sched.PostFn("bs-data-handle", b.cfg.Profile.Cost.BSDataHandle, b.forward) {
+		b.forwards = b.forwards[:len(b.forwards)-1]
+	}
+}
+
+func (b *bsCore) onAckSent() {
+	b.stats.AcksSent++
+	b.ackFlown()
+}
+
+// onForward hands the oldest acknowledged record to the data sink.
+func (b *bsCore) onForward() {
+	rec := popFront(&b.forwards)
+	if b.onData != nil {
+		b.onData(rec)
+	}
 }
 
 // AuditTable checks that the membership maps are inverse bijections with
@@ -370,7 +417,23 @@ type BS struct {
 	// beaconBuf is marshal scratch for the beacon, reused across cycles
 	// so the steady-state beacon/ack path allocates nothing. The
 	// inBeaconPrep guard keeps beacon and ack loads from overlapping.
+	// entryBuf is the advertisement list's scratch.
 	beaconBuf []byte
+	entryBuf  []packet.SlotEntry
+	// One beacon is in preparation at a time (the next is armed only
+	// once the current one has flown), so its pipeline state lives
+	// here: the target burst instant, whether the FIFO load completed
+	// and whether the fire instant has come (the beacon flies when
+	// both hold), and its airtime. The steps are bound once in NewBS.
+	beaconFireAt  sim.Time
+	beaconLoaded  bool
+	beaconDue     bool
+	beaconAir     sim.Time
+	beaconPrep    sim.ArgHandler
+	beaconBuild   func()
+	beaconInFIFO  func()
+	beaconDueStep sim.ArgHandler
+	beaconFlown   func()
 }
 
 // NewBS wires a base station over its radio and OS.
@@ -390,7 +453,13 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 		panic("mac: static base station needs a cycle length")
 	}
 	bs := &BS{bsCore: newBSCore(k, cfg, sched, r, ledger, tracer, slotWords)}
+	bs.bind()
 	bs.ackFlown = bs.listen
+	bs.beaconPrep = bs.prepareBeacon
+	bs.beaconBuild = bs.buildBeacon
+	bs.beaconInFIFO = bs.onBeaconLoaded
+	bs.beaconDueStep = bs.onBeaconDue
+	bs.beaconFlown = bs.onBeaconFlown
 	r.SetReceiveHandler(bs.onFrame)
 	return bs
 }
@@ -458,14 +527,12 @@ func (bs *BS) slotDuration() sim.Time {
 
 // scheduleBeacon arms the beacon whose burst must start at fireAt.
 func (bs *BS) scheduleBeacon(fireAt sim.Time) {
-	p := bs.cfg.Profile
+	p := &bs.cfg.Profile
 	// Preparation lead: build task + FIFO load + margin.
 	lead := p.MCU.CyclesToTime(p.Cost.BSBeaconBuild) +
 		p.Radio.TxClockIn(p.Radio.AddressBytes+bs.maxBeaconBytes()) +
 		150*sim.Microsecond
-	bs.k.ScheduleAt(fireAt-lead-p.Radio.TxSettle, func(*sim.Kernel) {
-		bs.prepareBeacon(fireAt)
-	})
+	bs.k.ScheduleArg(fireAt-lead-p.Radio.TxSettle, bs.beaconPrep, uint64(fireAt))
 }
 
 // maxBeaconBytes bounds the beacon payload for lead-time sizing.
@@ -473,65 +540,77 @@ func (bs *BS) maxBeaconBytes() int {
 	return packet.BeaconBaseBytes + packet.SlotEntryBytes*bs.maxSlots
 }
 
-// prepareBeacon builds and loads the beacon, then fires it on time.
-func (bs *BS) prepareBeacon(fireAt sim.Time) {
-	p := bs.cfg.Profile
+// prepareBeacon opens the SB region for the beacon whose burst must
+// start at the instant in arg, and runs the beacon-build task.
+func (bs *BS) prepareBeacon(_ *sim.Kernel, fireAt uint64) {
+	bs.beaconFireAt = sim.Time(fireAt)
 	bs.inBeaconPrep = true
 	bs.radio.Standby() // stop listening; the SB slot begins
-	bs.sched.Interrupt("bs-beacon-build", p.Cost.BSBeaconBuild, func() {
-		if bs.reclaimSilent() {
-			bs.pruneGrants()
-			if bs.cfg.Variant == Dynamic {
-				bs.compactSlots()
-			}
-		}
-		if bs.needCompact {
+	bs.sched.Interrupt("bs-beacon-build", bs.cfg.Profile.Cost.BSBeaconBuild, bs.beaconBuild)
+}
+
+// buildBeacon is the beacon-build task: it settles the table, then
+// loads the beacon and arms its fire instant.
+func (bs *BS) buildBeacon() {
+	p := &bs.cfg.Profile
+	if bs.reclaimSilent() {
+		bs.pruneGrants()
+		if bs.cfg.Variant == Dynamic {
 			bs.compactSlots()
-			bs.needCompact = false
 		}
-		bs.cycle = bs.currentCycle() // dynamic growth/shrink takes effect here
-		bs.seq++
-		b := packet.Beacon{
-			Seq:         bs.seq,
-			CycleMicros: uint32(bs.cycle / sim.Microsecond),
-			Entries:     bs.beaconEntries(),
-		}
-		// The burst should start at fireAt, but under MCU congestion
-		// (a slot-assign task from a late SSR, say) the FIFO load can
-		// slip past the nominal instant; the beacon then flies as soon
-		// as the load completes, and the nodes' guard margins absorb
-		// the small delay.
-		loaded, due := false, false
-		fire := func() {
-			bs.radio.Fire(func() {
-				bs.inBeaconPrep = false
-				bs.stats.BeaconsSent++
-				bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindBeaconTx,
-					"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
-				bs.listen()
-				// The burst just ended; its air start is the reference.
-				bs.t0 = bs.k.Now() - p.Radio.Airtime(b.EncodedBytes())
-				bs.scheduleBeacon(bs.t0 + bs.cycle)
-			})
-		}
-		bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, func() {
-			loaded = true
-			if due {
-				fire()
-			}
-		})
-		fireEvent := fireAt - p.Radio.TxSettle
-		if fireEvent < bs.k.Now() {
-			fireEvent = bs.k.Now() // congestion ate the lead; fly late
-		}
-		bs.k.ScheduleAt(fireEvent, func(*sim.Kernel) {
-			due = true
-			if loaded {
-				fire()
-			}
-		})
-	})
+	}
+	if bs.needCompact {
+		bs.compactSlots()
+		bs.needCompact = false
+	}
+	bs.cycle = bs.currentCycle() // dynamic growth/shrink takes effect here
+	bs.seq++
+	b := packet.Beacon{
+		Seq:         bs.seq,
+		CycleMicros: uint32(bs.cycle / sim.Microsecond),
+		Entries:     bs.beaconEntries(),
+	}
+	// The burst should start at fireAt, but under MCU congestion
+	// (a slot-assign task from a late SSR, say) the FIFO load can
+	// slip past the nominal instant; the beacon then flies as soon
+	// as the load completes, and the nodes' guard margins absorb
+	// the small delay.
+	bs.beaconLoaded, bs.beaconDue = false, false
+	bs.beaconAir = p.Radio.Airtime(b.EncodedBytes())
+	bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
+	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, bs.beaconInFIFO)
+	fireEvent := bs.beaconFireAt - p.Radio.TxSettle
+	if fireEvent < bs.k.Now() {
+		fireEvent = bs.k.Now() // congestion ate the lead; fly late
+	}
+	bs.k.ScheduleArg(fireEvent, bs.beaconDueStep, 0)
+}
+
+func (bs *BS) onBeaconLoaded() {
+	bs.beaconLoaded = true
+	if bs.beaconDue {
+		bs.radio.Fire(bs.beaconFlown)
+	}
+}
+
+func (bs *BS) onBeaconDue(*sim.Kernel, uint64) {
+	bs.beaconDue = true
+	if bs.beaconLoaded {
+		bs.radio.Fire(bs.beaconFlown)
+	}
+}
+
+// onBeaconFlown closes the SB region and arms the next beacon from this
+// one's air start.
+func (bs *BS) onBeaconFlown() {
+	bs.inBeaconPrep = false
+	bs.stats.BeaconsSent++
+	bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindBeaconTx,
+		"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
+	bs.listen()
+	// The burst just ended; its air start is the reference.
+	bs.t0 = bs.k.Now() - bs.beaconAir
+	bs.scheduleBeacon(bs.t0 + bs.cycle)
 }
 
 // pruneGrants drops pending grant advertisements for nodes that left
@@ -571,16 +650,16 @@ func (bs *BS) compactSlots() {
 // beaconEntries assembles the advertisement list: the full slot table for
 // dynamic TDMA, the active grants for static TDMA.
 func (bs *BS) beaconEntries() []packet.SlotEntry {
+	entries := bs.entryBuf[:0]
 	if bs.cfg.Variant == Dynamic {
-		entries := make([]packet.SlotEntry, 0, len(bs.nodeSlot))
 		for slot, node := range bs.slotNode {
 			entries = append(entries, packet.SlotEntry{NodeID: node, Slot: uint8(slot)})
 		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Slot < entries[j].Slot })
+		slices.SortFunc(entries, func(a, b packet.SlotEntry) int { return int(a.Slot) - int(b.Slot) })
+		bs.entryBuf = entries
 		return entries
 	}
-	var entries []packet.SlotEntry
-	var live []grant
+	live := bs.grants[:0]
 	for _, g := range bs.grants {
 		entries = append(entries, g.entry)
 		if g.left--; g.left > 0 {
@@ -588,6 +667,7 @@ func (bs *BS) beaconEntries() []packet.SlotEntry {
 		}
 	}
 	bs.grants = live
+	bs.entryBuf = entries
 	return entries
 }
 
@@ -656,7 +736,7 @@ func (bs *BS) handleSSR(ssr packet.SSR) {
 // from the sender-ID header under contention access — acknowledges the
 // frame and hands it to the data sink.
 func (bs *BS) handleData(payload []byte) {
-	p := bs.cfg.Profile
+	p := &bs.cfg.Profile
 	var node uint8
 	if bs.idHeader {
 		id, ok := bs.headerSender(payload)

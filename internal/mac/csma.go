@@ -53,8 +53,15 @@ type CSMANode struct {
 
 	// Contention attempt state (one attempt machine per node).
 	attemptActive bool
-	nb            int // busy verdicts consumed by this attempt
-	be            int // current backoff exponent
+	nb            int  // busy verdicts consumed by this attempt
+	be            int  // current backoff exponent
+	firing        txOp // the op whose burst is on the air
+
+	// Steady-state steps bound once at construction.
+	backoffStep   sim.ArgHandler
+	ccaStep       sim.ArgHandler
+	onFrameLoaded func()
+	onFlown       func()
 }
 
 // NewCSMANode wires a CSMA/CA node MAC over its radio and OS. Zero
@@ -79,9 +86,14 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 		m.maxBackoffs = defaultMaxBackoffs
 	}
 	m.beaconCore = beaconCore{nodeCore: newNodeCore(k, cfg, sched, r, ledger, tracer, m), access: m, slot: -1}
+	m.bind()
+	m.backoffStep = m.backoffDone
+	m.ccaStep = m.ccaDone
+	m.onFrameLoaded = m.frameLoaded
+	m.onFlown = m.flown
 	// Static-TDMA beacon timing: the same guard, parse cost and beacon
 	// sizing (base payload plus a bounded number of join grants).
-	p := cfg.Profile
+	p := &cfg.Profile
 	m.guard = p.MAC.StaticGuard
 	m.parseCycles = p.Cost.BeaconParseStatic
 	m.beaconMax = p.MAC.BeaconBasePayloadBytes + p.MAC.GrantEntryBytes*2
@@ -133,24 +145,23 @@ func (m *CSMANode) beginAttempt(op txOp) {
 		m.inFlight = nil
 		m.op = opNone
 	}
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	if !m.loaded {
 		switch op {
 		case opData:
 			if len(m.queue) == 0 {
 				return
 			}
-			item := m.queue[0]
-			loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + packet.DataHeaderBytes + len(item.payload))
-			if !m.attemptFits(m.k.Now()+loadDur, m.opTailNeed(op, len(item.payload))) {
+			n := len(m.queue[0].payload)
+			loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + packet.DataHeaderBytes + n)
+			if !m.attemptFits(m.k.Now()+loadDur, m.opTailNeed(op, n)) {
 				return // no room left this cycle; the frame stays queued
 			}
-			m.queue = m.queue[1:]
-			m.inFlight = &item
+			item := m.popQueue()
 			m.op = opData
 			m.loading = true
 			m.dataBuf = append(append(m.dataBuf[:0], m.cfg.NodeID), item.payload...)
-			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.frameLoaded)
+			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.onFrameLoaded)
 		case opSSR:
 			m.ssrNonce++
 			ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
@@ -163,14 +174,14 @@ func (m *CSMANode) beginAttempt(op txOp) {
 					return
 				}
 				m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
+				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.onFrameLoaded)
 			})
 		case opRelease:
 			rel := packet.Release{NodeID: m.cfg.NodeID}
 			m.op = opRelease
 			m.loading = true
 			m.ctrlBuf = rel.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
+			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.onFrameLoaded)
 		}
 		return
 	}
@@ -189,7 +200,7 @@ func (m *CSMANode) frameLoaded() {
 // opTailNeed reports how long an attempt needs after its CCA clears:
 // settle, burst, and (for data) the acknowledgement window.
 func (m *CSMANode) opTailNeed(op txOp, payloadLen int) sim.Time {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	switch op {
 	case opData:
 		return p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+payloadLen) +
@@ -230,13 +241,15 @@ func (m *CSMANode) scheduleBackoffStep() {
 		m.attemptActive = false
 		return
 	}
-	gen := m.gen
-	m.k.ScheduleAt(at, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
+	m.k.ScheduleArg(at, m.backoffStep, stepArg(m.gen, 0))
+}
+
+// backoffDone starts the clear-channel assessment once the backoff
+// scheduleBackoffStep armed has elapsed.
+func (m *CSMANode) backoffDone(_ *sim.Kernel, arg uint64) {
+	if _, live := m.stepLive(arg); live {
 		m.ccaStart()
-	})
+	}
 }
 
 // ccaStart turns the receiver on for the clear-channel assessment.
@@ -251,13 +264,14 @@ func (m *CSMANode) ccaStart() {
 	}
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.k.Schedule(m.cfg.Profile.Radio.RxSettle+csmaCCADuration, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
+	m.k.ScheduleArg(m.k.Now()+m.cfg.Profile.Radio.RxSettle+csmaCCADuration, m.ccaStep, stepArg(m.gen, 0))
+}
+
+// ccaDone takes the assessment's verdict at the sample instant.
+func (m *CSMANode) ccaDone(_ *sim.Kernel, arg uint64) {
+	if _, live := m.stepLive(arg); live {
 		m.ccaSample()
-	})
+	}
 }
 
 // ccaSample reads the energy-detect verdict at the end of the window.
@@ -297,38 +311,41 @@ func (m *CSMANode) ccaSample() {
 func (m *CSMANode) fire() {
 	m.attemptActive = false
 	m.loaded = false
-	op := m.op
-	if op == opData {
+	m.firing = m.op
+	if m.firing == opData {
 		m.noteLatency()
 	}
-	m.radio.Fire(func() {
-		if m.state == stateCrashed {
+	m.radio.Fire(m.onFlown)
+}
+
+// flown completes the burst fire started, by the op it carried.
+func (m *CSMANode) flown() {
+	if m.state == stateCrashed {
+		return
+	}
+	m.op = opNone
+	switch m.firing {
+	case opData:
+		if m.state == stateParked {
+			m.radio.PowerDown()
 			return
 		}
-		m.op = opNone
-		switch op {
-		case opData:
-			if m.state == stateParked {
-				m.radio.PowerDown()
-				return
-			}
-			m.stats.DataSent++
-			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d",
-				packet.DataHeaderBytes+m.inFlightLen())
-			m.openAckWindow()
-		case opSSR:
-			m.stats.SSRSent++
-			m.chargeControlTx(packet.SSRBytes)
-			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
-			m.radio.PowerDown()
-		case opRelease:
-			m.stats.ReleasesSent++
-			m.chargeControlTx(packet.ReleaseBytes)
-			m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSlotRelease, "member=%d", m.slot)
-			m.radio.PowerDown()
-			m.park()
-		}
-	})
+		m.stats.DataSent++
+		m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d",
+			packet.DataHeaderBytes+m.inFlightLen())
+		m.openAckWindow()
+	case opSSR:
+		m.stats.SSRSent++
+		m.chargeControlTx(packet.SSRBytes)
+		m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
+		m.radio.PowerDown()
+	case opRelease:
+		m.stats.ReleasesSent++
+		m.chargeControlTx(packet.ReleaseBytes)
+		m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSlotRelease, "member=%d", m.slot)
+		m.radio.PowerDown()
+		m.park()
+	}
 }
 
 // inFlightLen reports the in-flight frame's application payload length

@@ -104,9 +104,12 @@ type nodeCore struct {
 	state    nodeState
 	onJoined []func()
 	// gen invalidates kernel events armed before a crash: every scheduled
-	// closure captures the generation it was issued under and returns
-	// without effect when a crash has bumped it since.
+	// step carries the generation it was issued under in its kernel arg
+	// (see stepArg) and returns without effect when a crash has bumped
+	// it since.
 	gen uint64
+	// ackTimeoutStep is ackTimedOut bound once (see bind).
+	ackTimeoutStep sim.ArgHandler
 	// joinedSince/joinedAccum track slot-holding time for the
 	// availability metric.
 	joinedSince sim.Time
@@ -121,7 +124,8 @@ type nodeCore struct {
 	rejoinFrom  sim.Time
 
 	queue    []txItem
-	inFlight *txItem // frame in the FIFO / awaiting ack (for retry)
+	inFlight *txItem // frame in the FIFO / awaiting ack (for retry); nil or &flight
+	flight   txItem
 	// ctrlBuf is marshal scratch for control frames (SSR, Release,
 	// strobe). A node sends at most one control frame at a time, so one
 	// buffer suffices.
@@ -172,6 +176,42 @@ func newNodeCore(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 		tracer: tracer,
 		policy: policy,
 	}
+}
+
+// bind binds the core's kernel steps once the core sits at its final
+// address inside the protocol's MAC; constructors call it after
+// embedding.
+func (c *nodeCore) bind() { c.ackTimeoutStep = c.ackTimedOut }
+
+// stepArg packs a crash generation and a small step operand (a txOp, a
+// window stride) into one kernel arg, so a MAC step bound once can
+// carry what its closure used to capture.
+func stepArg(gen uint64, v int) uint64 { return gen<<8 | uint64(v) }
+
+// stepLive unpacks a stepArg: the operand, and whether the step was
+// armed under the current generation (false: armed before a crash).
+func (c *nodeCore) stepLive(arg uint64) (int, bool) {
+	return int(arg & 0xff), arg>>8 == c.gen
+}
+
+// popQueue moves the head of the transmit queue into the in-flight
+// slot.
+func (c *nodeCore) popQueue() *txItem {
+	c.flight = popFront(&c.queue)
+	c.inFlight = &c.flight
+	return c.inFlight
+}
+
+// popFront removes and returns the head of a FIFO slice, shifting the
+// rest down in place so the backing array is reused.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return v
 }
 
 // OnJoined implements Mac. Multiple callbacks may be registered; each
@@ -346,7 +386,7 @@ func (c *nodeCore) noteLatency() {
 // chargeControlTx charges one control burst of n payload bytes to the
 // control-overhead loss category.
 func (c *nodeCore) chargeControlTx(n int) {
-	p := c.cfg.Profile
+	p := &c.cfg.Profile
 	txDur := p.Radio.TxSettle + p.Radio.Airtime(n)
 	c.controlTxTime += txDur
 	c.ledger.AttributeLoss(energy.LossControl, c.radio.TxPowerW()*txDur.Seconds())
@@ -411,13 +451,14 @@ func (c *nodeCore) drop(w *rxWindow) bool {
 // data frame that just flew.
 func (c *nodeCore) openAckWindow() {
 	c.listen(&c.ack)
-	gen := c.gen
-	c.ack.timeout = c.k.Schedule(c.cfg.Profile.MAC.AckTimeout, func(*sim.Kernel) {
-		if c.gen != gen {
-			return
-		}
+	c.ack.timeout = c.k.ScheduleArg(c.k.Now()+c.cfg.Profile.MAC.AckTimeout, c.ackTimeoutStep, stepArg(c.gen, 0))
+}
+
+// ackTimedOut is the acknowledgement window's timeout step.
+func (c *nodeCore) ackTimedOut(_ *sim.Kernel, arg uint64) {
+	if _, live := c.stepLive(arg); live {
 		c.onAckTimeout()
-	})
+	}
 }
 
 // ackReceived closes the acknowledgement window on success; it reports
@@ -444,7 +485,7 @@ func (c *nodeCore) onAckTimeout() {
 	c.stats.AckMissed++
 	c.tracer.Record(c.k.Now(), c.name, metrics.KindAckMissed, "")
 
-	p := c.cfg.Profile
+	p := &c.cfg.Profile
 	if c.inFlight != nil {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(c.dataHeader+len(c.inFlight.payload))
 		c.ledger.AttributeLoss(energy.LossCollision, c.radio.TxPowerW()*txDur.Seconds())
@@ -453,7 +494,9 @@ func (c *nodeCore) onAckTimeout() {
 			// next attempt.
 			c.inFlight.retries++
 			c.stats.Retries++
-			c.queue = append([]txItem{*c.inFlight}, c.queue...)
+			c.queue = append(c.queue, txItem{})
+			copy(c.queue[1:], c.queue)
+			c.queue[0] = *c.inFlight
 		} else {
 			// Retries exhausted: the frame is gone for good.
 			c.stats.DataDropped++
@@ -562,6 +605,22 @@ type beaconCore struct {
 	missed       int
 	window       rxWindow // the beacon listen window
 	joinListenAt sim.Time
+
+	// Steps bound once by bind.
+	windowOpenStep    sim.ArgHandler
+	windowTimeoutStep sim.ArgHandler
+	afterBeaconFn     func()
+	ackProcessedFn    func()
+}
+
+// bind binds the core's steps once the core sits at its final address;
+// access must already be set.
+func (c *beaconCore) bind() {
+	c.nodeCore.bind()
+	c.windowOpenStep = c.openWindow
+	c.windowTimeoutStep = c.windowTimedOut
+	c.afterBeaconFn = c.afterBeacon
+	c.ackProcessedFn = c.access.queued
 }
 
 // Start implements Mac: listen continuously for a first beacon.
@@ -643,9 +702,7 @@ func (c *beaconCore) onFrame(f packet.Frame) {
 		}
 	case f.Dest == c.cfg.Plan.NodeAddr(c.cfg.NodeID) && packet.IsAck(f.Payload):
 		if c.ackReceived() && c.ackProcess {
-			c.sched.Interrupt("ack-process", c.cfg.Profile.Cost.AckProcess, func() {
-				c.access.queued()
-			})
+			c.sched.Interrupt("ack-process", c.cfg.Profile.Cost.AckProcess, c.ackProcessedFn)
 		}
 	}
 }
@@ -714,9 +771,7 @@ func (c *beaconCore) handleBeacon(b packet.Beacon, payloadLen int) {
 
 	// The beacon-parse task models the per-cycle OS/MAC work; follow-up
 	// actions run when it completes.
-	c.sched.Interrupt("beacon-parse", c.parseCycles, func() {
-		c.afterBeacon()
-	})
+	c.sched.Interrupt("beacon-parse", c.parseCycles, c.afterBeaconFn)
 }
 
 // afterBeacon schedules this cycle's activity once parsing is done.
@@ -748,51 +803,59 @@ func (c *beaconCore) windowStride() sim.Time {
 
 // scheduleNextWindow arms the receiver for the next expected beacon.
 func (c *beaconCore) scheduleNextWindow() {
-	p := c.cfg.Profile
 	stride := c.windowStride()
-	openAt := c.t0 + c.local(stride*c.cycle-c.guard-p.Radio.RxSettle)
+	openAt := c.t0 + c.local(stride*c.cycle-c.guard-c.cfg.Profile.Radio.RxSettle)
 	now := c.k.Now()
 	if openAt <= now {
 		openAt = now // degenerate cycles: open immediately
 	}
-	gen := c.gen
-	c.k.ScheduleAt(openAt, func(*sim.Kernel) {
-		if c.gen != gen {
-			return // armed before a crash
-		}
-		if c.window.open || c.state == stateSearching {
-			return
-		}
-		if c.yieldToTx && c.radio.Mode() == radio.ModeTx {
-			// A late burst is still draining; its completion handler
-			// powers the radio down, and the beacon is lost this cycle.
-			c.missBeacon()
-			return
-		}
-		c.window.open = true
-		c.window.at = c.k.Now()
-		c.radio.SetRxAddresses(c.cfg.Plan.Beacon)
-		c.radio.StartRx()
-		// The timeout sits one guard past the locally-expected beacon so
-		// the tolerance to clock error is symmetric: ±guard/cycle for
-		// early and late clocks alike. A saturated MCU can delay the
-		// whole pipeline past the nominal deadline; clamp so the window
-		// closes immediately instead of scheduling into the past.
-		deadline := c.t0 + c.local(stride*c.cycle) + c.guard +
-			p.Radio.Airtime(c.beaconMax) +
-			p.Radio.RxClockOut(c.beaconMax) + 500*sim.Microsecond
-		if deadline < c.k.Now() {
-			deadline = c.k.Now()
-		}
-		c.window.timeout = c.k.ScheduleAt(deadline, func(*sim.Kernel) {
-			if c.gen != gen {
-				return
-			}
-			if c.shut(&c.window, false) {
-				c.missBeacon()
-			}
-		})
-	})
+	c.k.ScheduleArg(openAt, c.windowOpenStep, stepArg(c.gen, int(stride)))
+}
+
+// openWindow opens the beacon listen window scheduleNextWindow armed;
+// the arg carries the window's stride.
+func (c *beaconCore) openWindow(k *sim.Kernel, arg uint64) {
+	v, live := c.stepLive(arg)
+	if !live {
+		return // armed before a crash
+	}
+	if c.window.open || c.state == stateSearching {
+		return
+	}
+	if c.yieldToTx && c.radio.Mode() == radio.ModeTx {
+		// A late burst is still draining; its completion handler
+		// powers the radio down, and the beacon is lost this cycle.
+		c.missBeacon()
+		return
+	}
+	p := &c.cfg.Profile
+	stride := sim.Time(v)
+	c.window.open = true
+	c.window.at = k.Now()
+	c.radio.SetRxAddresses(c.cfg.Plan.Beacon)
+	c.radio.StartRx()
+	// The timeout sits one guard past the locally-expected beacon so
+	// the tolerance to clock error is symmetric: ±guard/cycle for
+	// early and late clocks alike. A saturated MCU can delay the
+	// whole pipeline past the nominal deadline; clamp so the window
+	// closes immediately instead of scheduling into the past.
+	deadline := c.t0 + c.local(stride*c.cycle) + c.guard +
+		p.Radio.Airtime(c.beaconMax) +
+		p.Radio.RxClockOut(c.beaconMax) + 500*sim.Microsecond
+	if deadline < k.Now() {
+		deadline = k.Now()
+	}
+	c.window.timeout = k.ScheduleArg(deadline, c.windowTimeoutStep, stepArg(c.gen, 0))
+}
+
+// windowTimedOut closes a beacon window that heard nothing.
+func (c *beaconCore) windowTimedOut(_ *sim.Kernel, arg uint64) {
+	if _, live := c.stepLive(arg); !live {
+		return
+	}
+	if c.shut(&c.window, false) {
+		c.missBeacon()
+	}
 }
 
 // missBeacon counts a beacon the node did not hear and dead-reckons the

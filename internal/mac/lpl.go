@@ -66,6 +66,15 @@ type LPLNode struct {
 	gap         rxWindow // post-strobe early-ack listen gap
 	ssrWait     rxWindow // association ack wait
 	burstLeft   int
+
+	// Steady-state steps bound once at construction.
+	resumeStep    sim.ArgHandler
+	strobeStepEv  sim.ArgHandler
+	gapTimeout    sim.ArgHandler
+	strobeLoaded  func()
+	strobeFlown   func()
+	payloadLoaded func()
+	payloadFlown  func()
 }
 
 // NewLPLNode wires an LPL node MAC over its radio and OS. A zero
@@ -76,9 +85,17 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	if err := validateLPLParams(cfg.Params); err != nil {
 		panic(err)
 	}
-	p := cfg.Profile
+	p := &cfg.Profile
 	m := &LPLNode{checkInterval: cfg.Params.CheckInterval}
 	m.nodeCore = newNodeCore(k, cfg, sched, r, ledger, tracer, m)
+	m.bind()
+	m.resumeStep = m.resume
+	m.strobeStepEv = m.strobeDeferred
+	m.gapTimeout = m.strobeGapTimedOut
+	m.strobeLoaded = m.onStrobeLoaded
+	m.strobeFlown = m.onStrobeFlown
+	m.payloadLoaded = m.onPayloadLoaded
+	m.payloadFlown = m.onPayloadFlown
 	m.dataHeader = packet.DataHeaderBytes
 	if m.checkInterval <= 0 {
 		m.checkInterval = DefaultLPLCheckInterval
@@ -100,7 +117,7 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 // strobeSpacing reports the cadence of the strobe train: FIFO reload,
 // settle, strobe burst, listen gap.
 func (m *LPLNode) strobeSpacing() sim.Time {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	return p.Radio.TxClockIn(p.Radio.AddressBytes+packet.StrobeBytes) +
 		p.Radio.TxSettle + p.Radio.Airtime(packet.StrobeBytes) + m.strobeGap
 }
@@ -179,13 +196,14 @@ func (m *LPLNode) ackLost() {
 // resumeAfter relaunches op's strobe train after delay, unless a crash
 // intervenes.
 func (m *LPLNode) resumeAfter(delay sim.Time, op txOp) {
-	gen := m.gen
-	m.k.Schedule(delay, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		m.startOp(op)
-	})
+	m.k.ScheduleArg(m.k.Now()+delay, m.resumeStep, stepArg(m.gen, int(op)))
+}
+
+// resume is the step resumeAfter armed; the arg carries the op.
+func (m *LPLNode) resume(_ *sim.Kernel, arg uint64) {
+	if op, live := m.stepLive(arg); live {
+		m.startOp(txOp(op))
+	}
 }
 
 func (m *LPLNode) onFrame(f packet.Frame) {
@@ -245,34 +263,48 @@ func (m *LPLNode) strobeStep() {
 	m.strobeCount++
 	strobe := packet.Strobe{NodeID: m.cfg.NodeID}
 	m.ctrlBuf = strobe.AppendMarshal(m.ctrlBuf[:0])
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-		if m.state == stateParked || m.state == stateCrashed || !m.opActive {
-			m.radio.PowerDown()
-			return
-		}
-		m.radio.Fire(func() {
-			if m.state == stateParked || m.state == stateCrashed || !m.opActive {
-				m.radio.PowerDown()
-				return
-			}
-			m.stats.StrobesSent++
-			m.chargeControlTx(packet.StrobeBytes)
-			m.openStrobeGap()
-		})
-	})
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.strobeLoaded)
+}
+
+// onStrobeLoaded fires the strobe once it sits in the TX FIFO.
+func (m *LPLNode) onStrobeLoaded() {
+	if m.state == stateParked || m.state == stateCrashed || !m.opActive {
+		m.radio.PowerDown()
+		return
+	}
+	m.radio.Fire(m.strobeFlown)
+}
+
+// onStrobeFlown opens the early-ack gap after a strobe.
+func (m *LPLNode) onStrobeFlown() {
+	if m.state == stateParked || m.state == stateCrashed || !m.opActive {
+		m.radio.PowerDown()
+		return
+	}
+	m.stats.StrobesSent++
+	m.chargeControlTx(packet.StrobeBytes)
+	m.openStrobeGap()
 }
 
 // openStrobeGap listens briefly for the early ack that truncates the
 // train.
 func (m *LPLNode) openStrobeGap() {
 	m.listen(&m.gap)
-	gen := m.gen
-	m.gap.timeout = m.k.Schedule(m.strobeGap, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
+	m.gap.timeout = m.k.ScheduleArg(m.k.Now()+m.strobeGap, m.gapTimeout, stepArg(m.gen, 0))
+}
+
+// strobeGapTimedOut is the strobe gap's timeout step.
+func (m *LPLNode) strobeGapTimedOut(_ *sim.Kernel, arg uint64) {
+	if _, live := m.stepLive(arg); live {
 		m.onStrobeGapTimeout()
-	})
+	}
+}
+
+// strobeDeferred resumes a strobe train deferred behind a busy channel.
+func (m *LPLNode) strobeDeferred(_ *sim.Kernel, arg uint64) {
+	if _, live := m.stepLive(arg); live {
+		m.strobeStep()
+	}
 }
 
 func (m *LPLNode) onStrobeGapTimeout() {
@@ -284,13 +316,7 @@ func (m *LPLNode) onStrobeGapTimeout() {
 		// payload exchange): defer politely instead of strobing over it.
 		// The pause does not consume the strobe budget.
 		delay := lplDeferFloor + sim.Time(m.k.Rand().Int63n(int64(lplDeferSpan)))
-		gen := m.gen
-		m.k.Schedule(delay, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.strobeStep()
-		})
+		m.k.ScheduleArg(m.k.Now()+delay, m.strobeStepEv, stepArg(m.gen, 0))
 		return
 	}
 	m.strobeStep()
@@ -309,7 +335,7 @@ func (m *LPLNode) handleStrobeAck() {
 
 // sendPayload delivers the train's cargo into the receiver's open window.
 func (m *LPLNode) sendPayload() {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	switch m.op {
 	case opSSR:
 		m.ssrNonce++
@@ -343,27 +369,31 @@ func (m *LPLNode) sendPayload() {
 				m.endOp()
 				return
 			}
-			item := m.queue[0]
-			m.queue = m.queue[1:]
-			m.inFlight = &item
+			m.popQueue()
 		}
 		m.dataBuf = append(append(m.dataBuf[:0], m.cfg.NodeID), m.inFlight.payload...)
-		m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, func() {
-			if m.state == stateParked || m.state == stateCrashed {
-				m.radio.PowerDown()
-				return
-			}
-			m.noteLatency()
-			m.radio.Fire(func() {
-				if m.state == stateCrashed {
-					return
-				}
-				m.stats.DataSent++
-				m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.dataBuf))
-				m.openAckWindow()
-			})
-		})
+		m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.payloadLoaded)
 	}
+}
+
+// onPayloadLoaded fires the data frame once it sits in the TX FIFO.
+func (m *LPLNode) onPayloadLoaded() {
+	if m.state == stateParked || m.state == stateCrashed {
+		m.radio.PowerDown()
+		return
+	}
+	m.noteLatency()
+	m.radio.Fire(m.payloadFlown)
+}
+
+// onPayloadFlown opens the acknowledgement window after the data burst.
+func (m *LPLNode) onPayloadFlown() {
+	if m.state == stateCrashed {
+		return
+	}
+	m.stats.DataSent++
+	m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.dataBuf))
+	m.openAckWindow()
 }
 
 // openSSRWait listens for the association ack.
@@ -467,6 +497,16 @@ type LPLBS struct {
 	payloadTimeout  sim.EventID
 
 	strobeAckBuf []byte
+	// strobes queues the strobing nodes' IDs awaiting the turnaround ISR.
+	strobes []uint8
+
+	// Steady-state steps bound once at construction.
+	probeStep          sim.ArgHandler
+	probeIdleStep      sim.ArgHandler
+	payloadTimeoutStep sim.ArgHandler
+	strobeTurnaround   func()
+	strobeAckLoaded    func()
+	strobeAckFlown     func()
 }
 
 // NewLPLBS wires an LPL base station. A zero CheckInterval selects
@@ -487,7 +527,17 @@ func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	if bs.checkInterval <= 0 {
 		bs.checkInterval = DefaultLPLCheckInterval
 	}
+	bs.bind()
 	bs.ackFlown = bs.openPayloadWindow
+	bs.probeStep = bs.probe
+	bs.probeIdleStep = func(*sim.Kernel, uint64) { bs.onProbeIdle() }
+	bs.payloadTimeoutStep = func(*sim.Kernel, uint64) { bs.onPayloadTimeout() }
+	bs.strobeTurnaround = bs.onStrobeTurnaround
+	bs.strobeAckLoaded = func() { bs.radio.Fire(bs.strobeAckFlown) }
+	bs.strobeAckFlown = func() {
+		bs.stats.EarlyAcksSent++
+		bs.openPayloadWindow()
+	}
 	r.SetReceiveHandler(bs.onFrame)
 	return bs
 }
@@ -507,14 +557,12 @@ func (bs *LPLBS) Start() {
 }
 
 func (bs *LPLBS) scheduleProbe(n uint64) {
-	bs.k.ScheduleAt(bs.startAt+sim.Time(n)*bs.checkInterval, func(*sim.Kernel) {
-		bs.probe(n)
-	})
+	bs.k.ScheduleArg(bs.startAt+sim.Time(n)*bs.checkInterval, bs.probeStep, n)
 }
 
 // probe opens one sampling window (skipped when a wake is still being
 // serviced across the probe instant).
-func (bs *LPLBS) probe(n uint64) {
+func (bs *LPLBS) probe(_ *sim.Kernel, n uint64) {
 	bs.scheduleProbe(n + 1)
 	bs.reclaimSilent()
 	if bs.waking {
@@ -525,9 +573,7 @@ func (bs *LPLBS) probe(n uint64) {
 	bs.probeOpenAt = bs.k.Now()
 	bs.listen()
 	window := bs.cfg.Profile.Radio.RxSettle + lplMaxStrobeSpacing
-	bs.probeTimeout = bs.k.Schedule(window, func(*sim.Kernel) {
-		bs.onProbeIdle()
-	})
+	bs.probeTimeout = bs.k.ScheduleArg(bs.k.Now()+window, bs.probeIdleStep, 0)
 }
 
 // onProbeIdle closes a silent sampling window: its receiver-on time is
@@ -568,20 +614,20 @@ func (bs *LPLBS) handleStrobe(s packet.Strobe) {
 	}
 	bs.acking = true
 	bs.k.Cancel(bs.probeTimeout)
-	p := bs.cfg.Profile
-	bs.sched.Interrupt("bs-strobe-turnaround", p.Cost.BSAckTurnaround, func() {
-		if !bs.waking || bs.awaitingPayload {
-			return
-		}
-		bs.radio.Standby()
-		bs.strobeAckBuf = packet.StrobeAck{}.AppendMarshal(bs.strobeAckBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.NodeAddr(s.NodeID), bs.strobeAckBuf, func() {
-			bs.radio.Fire(func() {
-				bs.stats.EarlyAcksSent++
-				bs.openPayloadWindow()
-			})
-		})
-	})
+	bs.strobes = append(bs.strobes, s.NodeID)
+	bs.sched.Interrupt("bs-strobe-turnaround", bs.cfg.Profile.Cost.BSAckTurnaround, bs.strobeTurnaround)
+}
+
+// onStrobeTurnaround loads the early ack for the oldest strobe, unless
+// the wake ended or a payload window opened meanwhile.
+func (bs *LPLBS) onStrobeTurnaround() {
+	id := popFront(&bs.strobes)
+	if !bs.waking || bs.awaitingPayload {
+		return
+	}
+	bs.radio.Standby()
+	bs.strobeAckBuf = packet.StrobeAck{}.AppendMarshal(bs.strobeAckBuf[:0])
+	bs.radio.Load(bs.cfg.Plan.NodeAddr(id), bs.strobeAckBuf, bs.strobeAckLoaded)
 }
 
 // openPayloadWindow holds the receiver on for the sender's cargo.
@@ -589,9 +635,7 @@ func (bs *LPLBS) openPayloadWindow() {
 	bs.acking = false
 	bs.awaitingPayload = true
 	bs.listen()
-	bs.payloadTimeout = bs.k.Schedule(lplPayloadWait, func(*sim.Kernel) {
-		bs.onPayloadTimeout()
-	})
+	bs.payloadTimeout = bs.k.ScheduleArg(bs.k.Now()+lplPayloadWait, bs.payloadTimeoutStep, 0)
 }
 
 func (bs *LPLBS) onPayloadTimeout() {

@@ -17,6 +17,11 @@ import (
 type NodeMac struct {
 	beaconCore
 	ssrScheduled bool
+
+	// Steady-state steps bound once at construction.
+	slotStep   sim.ArgHandler
+	dataLoaded func()
+	dataFlown  func()
 }
 
 // NewNodeMac wires a node MAC over its radio and OS.
@@ -24,7 +29,11 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
 	m := &NodeMac{}
 	m.beaconCore = beaconCore{nodeCore: newNodeCore(k, cfg, sched, r, ledger, tracer, m), access: m, slot: -1}
-	p := cfg.Profile
+	m.bind()
+	m.slotStep = m.slotBoundary
+	m.dataLoaded = m.onDataLoaded
+	m.dataFlown = m.onDataFlown
+	p := &cfg.Profile
 	if cfg.Variant == Dynamic {
 		m.guard = p.MAC.DynamicGuard
 		m.parseCycles = p.Cost.BeaconParseDynamic
@@ -57,13 +66,14 @@ func (m *NodeMac) transmit() {
 	if fireAt <= m.k.Now() {
 		return // our slot already passed this cycle
 	}
-	gen := m.gen
-	m.k.ScheduleAt(fireAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
+	m.k.ScheduleArg(fireAt, m.slotStep, stepArg(m.gen, 0))
+}
+
+// slotBoundary is the data-slot step transmit armed.
+func (m *NodeMac) slotBoundary(_ *sim.Kernel, arg uint64) {
+	if _, live := m.stepLive(arg); live {
 		m.fireSlot()
-	})
+	}
 }
 
 // slotDuration reports the data-slot length under the current cycle.
@@ -87,7 +97,7 @@ func (m *NodeMac) request() {
 	if m.ssrScheduled {
 		return
 	}
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	ssrAir := p.Radio.Airtime(packet.SSRBytes)
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.SSRBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
@@ -171,7 +181,7 @@ func (m *NodeMac) request() {
 // cycles later, and the parked node ignores its stale table row until
 // then.
 func (m *NodeMac) release() {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	rel := packet.Release{NodeID: m.cfg.NodeID}
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.ReleaseBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
@@ -229,20 +239,21 @@ func (m *NodeMac) tryLoad() {
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 		return
 	}
-	p := m.cfg.Profile
-	item := m.queue[0]
-	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
+	p := &m.cfg.Profile
+	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(m.queue[0].payload))
 	if m.k.Now()+loadDur+500*sim.Microsecond >= m.nextWindowOpen() && m.cycle > 0 {
 		return // too close to the beacon window; retry after the beacon
 	}
-	m.queue = m.queue[1:]
-	m.inFlight = &item
+	item := m.popQueue()
 	m.loading = true
-	m.radio.Load(m.cfg.Plan.BSData, item.payload, func() {
-		m.loading = false
-		m.loaded = true
-		m.radio.PowerDown() // FIFO retains the frame; sleep until the slot
-	})
+	m.radio.Load(m.cfg.Plan.BSData, item.payload, m.dataLoaded)
+}
+
+// onDataLoaded runs when the data frame sits in the TX FIFO.
+func (m *NodeMac) onDataLoaded() {
+	m.loading = false
+	m.loaded = true
+	m.radio.PowerDown() // FIFO retains the frame; sleep until the slot
 }
 
 // fireSlot transmits the loaded frame at the slot boundary and opens the
@@ -257,14 +268,17 @@ func (m *NodeMac) fireSlot() {
 	m.loaded = false
 	m.tracer.Recordf(m.k.Now(), m.name, metrics.KindSlotStart, "slot=%d", m.slot)
 	m.noteLatency()
-	m.radio.Fire(func() {
-		if m.inFlight == nil {
-			panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
-		}
-		m.stats.DataSent++
-		m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.inFlight.payload))
-		m.openAckWindow()
-	})
+	m.radio.Fire(m.dataFlown)
+}
+
+// onDataFlown opens the acknowledgement window once the data burst ends.
+func (m *NodeMac) onDataFlown() {
+	if m.inFlight == nil {
+		panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
+	}
+	m.stats.DataSent++
+	m.tracer.Recordf(m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.inFlight.payload))
+	m.openAckWindow()
 }
 
 // AuditProtocol implements NodeMAC: the TDMA node's protocol-specific

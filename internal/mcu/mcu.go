@@ -29,10 +29,16 @@ type MCU struct {
 	busyUntil  sim.Time
 	sleeping   bool
 	sleepState energy.State
-	// gen invalidates queued completion callbacks across a crash: a
-	// callback only applies its effects when the generation it was issued
-	// under is still current.
+	// gen invalidates queued completion events across a crash: each
+	// carries the generation it was issued under as its kernel arg and
+	// applies its effects only while that generation is still current.
 	gen uint64
+	// pending holds the queued computations in issue order. Work is
+	// serialised, so completions fire in busyUntil order and each
+	// completion event belongs to the head; onComplete is m.complete
+	// bound once, so queuing work allocates nothing.
+	pending    []completion
+	onComplete sim.ArgHandler
 
 	execs      uint64
 	cyclesRun  int64
@@ -54,7 +60,7 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 	})
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateMCUPowerSave)
-	return &MCU{
+	m := &MCU{
 		k:          k,
 		params:     params,
 		meter:      meter,
@@ -62,6 +68,15 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 		sleeping:   true,
 		sleepState: platform.StateMCUPowerSave,
 	}
+	m.onComplete = m.complete
+	return m
+}
+
+// completion is one queued computation: its completion instant and the
+// callback to run then.
+type completion struct {
+	end  sim.Time
+	done func()
 }
 
 // Params reports the electrical parameters the MCU was built with.
@@ -123,6 +138,10 @@ func (m *MCU) ExecDur(d sim.Time, done func()) sim.Time {
 	return m.execFor(d, cycles, done)
 }
 
+// execFor queues one computation behind any work in progress and arms
+// its completion.
+//
+//hot:path
 func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	now := m.k.Now()
 	m.execs++
@@ -142,22 +161,32 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	m.busyUntil = end
 	m.activeTime += dur
 
-	gen := m.gen
-	//lint:allow hotalloc the completion closure is the kernel handler ABI: one bounded allocation per computation
-	m.k.ScheduleAt(end, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // the node crashed; this computation never completed
-		}
-		if done != nil {
-			done()
-		}
-		// Sleep only if the completion callback queued nothing further.
-		if m.busyUntil == end && !m.sleeping {
-			m.sleeping = true
-			m.meter.Transition(end, m.sleepState)
-		}
-	})
+	m.pending = append(m.pending, completion{end: end, done: done})
+	m.k.ScheduleArg(end, m.onComplete, m.gen)
 	return end
+}
+
+// complete finishes the head computation: its callback runs, and the
+// core sleeps if the callback queued nothing further. A completion
+// issued before a crash carries a stale generation and does nothing —
+// that computation never completed.
+//
+//hot:path
+func (m *MCU) complete(_ *sim.Kernel, gen uint64) {
+	if gen != m.gen {
+		return
+	}
+	c := m.pending[0]
+	n := copy(m.pending, m.pending[1:])
+	m.pending[n] = completion{}
+	m.pending = m.pending[:n]
+	if c.done != nil {
+		c.done()
+	}
+	if m.busyUntil == c.end && !m.sleeping {
+		m.sleeping = true
+		m.meter.Transition(c.end, m.sleepState)
+	}
 }
 
 // Crash models a node power loss: all queued computation is abandoned
@@ -167,6 +196,8 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 // is cut off at the crash instant.
 func (m *MCU) Crash() {
 	m.gen++
+	clear(m.pending)
+	m.pending = m.pending[:0]
 	m.busyUntil = m.k.Now()
 	m.sleeping = true
 	m.meter.Transition(m.k.Now(), platform.StateMCUOff)

@@ -141,23 +141,31 @@ func NewRecorder(limit int) *Recorder {
 // (oldest events are the protocol-establishing ones worth keeping) but
 // the drop is counted and the counters stay exact.
 func (r *Recorder) Record(at sim.Time, node string, kind Kind, detail string) {
-	if r == nil {
-		return
-	}
-	r.counts[counterKey{node, kind}]++
-	if r.limit > 0 && len(r.events) >= r.limit {
-		r.dropped++
+	if r == nil || !r.admit(node, kind) {
 		return
 	}
 	r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: detail})
 }
 
-// Recordf is Record with a format string.
+// Recordf is Record with a format string. The detail is formatted only
+// when the event is kept: past the ring limit the counter and the drop
+// count still move, but nothing is formatted.
 func (r *Recorder) Recordf(at sim.Time, node string, kind Kind, format string, args ...any) {
-	if r == nil {
+	if r == nil || !r.admit(node, kind) {
 		return
 	}
-	r.Record(at, node, kind, fmt.Sprintf(format, args...))
+	r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: fmt.Sprintf(format, args...)})
+}
+
+// admit bumps the (node, kind) counter and reports whether the event log
+// has room for the event, counting the drop when it has not.
+func (r *Recorder) admit(node string, kind Kind) bool {
+	r.counts[counterKey{node, kind}]++
+	if r.limit > 0 && len(r.events) >= r.limit {
+		r.dropped++
+		return false
+	}
+	return true
 }
 
 // Observe adds one latency sample to the (node, name) histogram. Safe on

@@ -57,6 +57,39 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
+// TestRecordfPastLimitFormatsNothing pins that a full recorder skips
+// the formatting entirely while keeping Record's exact bookkeeping: the
+// counter and the drop count move identically for both entry points.
+func TestRecordfPastLimitFormatsNothing(t *testing.T) {
+	viaRecordf, viaRecord := NewRecorder(2), NewRecorder(2)
+	for i := 0; i < 2; i++ {
+		viaRecordf.Recordf(sim.Time(i), "n", KindDataTx, "len=%d", 18)
+		viaRecord.Record(sim.Time(i), "n", KindDataTx, "len=18")
+	}
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, func() {
+		viaRecordf.Recordf(5, "n", KindDataTx, "len=18")
+	}); allocs != 0 {
+		t.Fatalf("Recordf on a full recorder allocated %.1f times per call, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the measured runs.
+	for i := 0; i < runs+1; i++ {
+		viaRecord.Record(5, "n", KindDataTx, "len=18")
+	}
+	if got, want := viaRecordf.Dropped(), viaRecord.Dropped(); got != want || got != runs+1 {
+		t.Fatalf("Dropped via Recordf = %d, via Record = %d, want %d", got, want, runs+1)
+	}
+	if got, want := viaRecordf.Count(KindDataTx), viaRecord.Count(KindDataTx); got != want || got != runs+3 {
+		t.Fatalf("Count via Recordf = %d, via Record = %d, want %d", got, want, runs+3)
+	}
+	if got, want := viaRecordf.Recorded(), viaRecord.Recorded(); got != want {
+		t.Fatalf("Recorded via Recordf = %d, via Record = %d", got, want)
+	}
+	if !reflect.DeepEqual(viaRecordf.Events(), viaRecord.Events()) {
+		t.Fatalf("kept events differ:\n%v\n%v", viaRecordf.Events(), viaRecord.Events())
+	}
+}
+
 func TestRecorderQueries(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(0, "bs", KindBeaconTx, "seq=0")

@@ -68,6 +68,13 @@ type Stats struct {
 	AddrDrops  uint64 // frames discarded by the hardware address filter
 }
 
+// pendingLoad is one FIFO clock-in in progress: the frame being loaded
+// and the caller's completion.
+type pendingLoad struct {
+	frame packet.Frame
+	done  func()
+}
+
 // ReceiveFunc handles a frame that survived the hardware CRC and address
 // checks, after the FIFO drain completes. It runs in interrupt context on
 // the node's MCU.
@@ -99,10 +106,26 @@ type Radio struct {
 	// (ListeningSince reports not-listening while draining).
 	txBuf []byte
 	rxBuf []byte
-	// gen invalidates in-flight transmit/drain callbacks across a crash:
-	// each scheduled step only applies when the generation it was issued
-	// under is still current.
+	// gen invalidates in-flight transmit/drain steps across a crash: each
+	// scheduled step carries the generation it was issued under as its
+	// kernel arg and only applies while that generation is still current.
 	gen uint64
+
+	// The transmit and receive sequences run on steps bound once at New;
+	// their per-operation state lives here instead of in closures.
+	// loads queues the FIFO clock-ins in progress (head first, completing
+	// in issue order on the serialised MCU); txFrame, txAir and txDone
+	// describe the burst Fire started; rxFrame is the accepted frame
+	// being drained (decoded in rxBuf).
+	loads       []pendingLoad
+	txFrame     packet.Frame
+	txAir       sim.Time
+	txDone      func()
+	rxFrame     packet.Frame
+	onClockedIn func()
+	onSettled   sim.ArgHandler
+	onBurstEnd  sim.ArgHandler
+	onDrained   sim.ArgHandler
 
 	rxAddrs map[packet.Address]bool
 	onRecv  ReceiveFunc
@@ -139,6 +162,10 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 		tracer:  tracer,
 		rxAddrs: make(map[packet.Address]bool),
 	}
+	r.onClockedIn = r.clockedIn
+	r.onSettled = r.settled
+	r.onBurstEnd = r.burstEnd
+	r.onDrained = r.drained
 	ch.Attach(r)
 	return r
 }
@@ -185,9 +212,10 @@ func (r *Radio) TxPowerW() float64 { return r.params.TxA * r.params.VoltageV }
 func (r *Radio) SetReceiveHandler(fn ReceiveFunc) { r.onRecv = fn }
 
 // SetRxAddresses configures the hardware address filter: only frames
-// destined to one of addrs are forwarded to the MCU.
+// destined to one of addrs are forwarded to the MCU. The filter map is
+// refilled in place, so reconfiguring it every window allocates nothing.
 func (r *Radio) SetRxAddresses(addrs ...packet.Address) {
-	r.rxAddrs = make(map[packet.Address]bool, len(addrs))
+	clear(r.rxAddrs)
 	for _, a := range addrs {
 		r.rxAddrs[a] = true
 	}
@@ -236,6 +264,8 @@ func (r *Radio) StartRx() {
 // bytes unchanged until the frame has started its burst (Fire's settle
 // instant, when the image is encoded), which lets MAC layers marshal
 // into reusable scratch buffers.
+//
+//hot:path
 func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
 	if r.txBusy {
 		panic(fmt.Sprintf("radio %s: Load during transmit sequence", r.name))
@@ -249,13 +279,23 @@ func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
 	}
 	r.setMode(ModeStandby)
 	loadDur := r.params.TxClockIn(r.params.AddressBytes + len(payload))
-	r.sched.BusyLoad("radio-fifo-load", loadDur, func() {
-		r.loaded = packet.Frame{Dest: dest, Payload: payload}
-		r.hasLoaded = true
-		if done != nil {
-			done()
-		}
-	})
+	r.loads = append(r.loads, pendingLoad{frame: packet.Frame{Dest: dest, Payload: payload}, done: done})
+	r.sched.BusyLoad("radio-fifo-load", loadDur, r.onClockedIn)
+}
+
+// clockedIn completes the head clock-in: the FIFO now holds its frame.
+//
+//hot:path
+func (r *Radio) clockedIn() {
+	l := r.loads[0]
+	n := copy(r.loads, r.loads[1:])
+	r.loads[n] = pendingLoad{}
+	r.loads = r.loads[:n]
+	r.loaded = l.frame
+	r.hasLoaded = true
+	if l.done != nil {
+		l.done()
+	}
 }
 
 // Fire transmits the frame previously loaded with Load: PLL settling,
@@ -273,35 +313,47 @@ func (r *Radio) Fire(done func()) {
 	if r.mode == ModeRx {
 		panic(fmt.Sprintf("radio %s: Fire while receiving", r.name))
 	}
-	frame := r.loaded
+	r.txFrame = r.loaded
 	r.loaded = packet.Frame{}
 	r.hasLoaded = false
 	r.txBusy = true
 	r.setMode(ModeTx)
-	air := r.params.Airtime(len(frame.Payload))
-	gen := r.gen
-	//lint:allow hotalloc the settle/burst closures are the kernel handler ABI: two bounded allocations per transmission
-	r.k.Schedule(r.params.TxSettle, func(*sim.Kernel) {
-		if r.gen != gen {
-			return // crashed during PLL settling; nothing reached the air
-		}
-		// Encode into the per-radio scratch; the channel copies the image
-		// into its own pooled buffer, so txBuf is free again on return.
-		r.txBuf = frame.AppendEncode(r.txBuf[:0])
-		r.ch.BeginTx(r, r.txBuf, air)
-		r.k.Schedule(air, func(*sim.Kernel) {
-			if r.gen != gen {
-				return // crashed mid-burst; AbortTx already truncated it
-			}
-			r.stats.TxFrames++
-			r.txAirTime += air
-			r.txBusy = false
-			r.setMode(ModeStandby)
-			if done != nil {
-				done()
-			}
-		})
-	})
+	r.txAir = r.params.Airtime(len(r.txFrame.Payload))
+	r.txDone = done
+	r.k.ScheduleArg(r.k.Now()+r.params.TxSettle, r.onSettled, r.gen)
+}
+
+// settled starts the burst once the PLL has settled.
+//
+//hot:path
+func (r *Radio) settled(k *sim.Kernel, gen uint64) {
+	if r.gen != gen {
+		return // crashed during PLL settling; nothing reached the air
+	}
+	// Encode into the per-radio scratch; the channel copies the image
+	// into its own pooled buffer, so txBuf is free again on return.
+	r.txBuf = r.txFrame.AppendEncode(r.txBuf[:0])
+	r.txFrame = packet.Frame{}
+	r.ch.BeginTx(r, r.txBuf, r.txAir)
+	k.ScheduleArg(k.Now()+r.txAir, r.onBurstEnd, gen)
+}
+
+// burstEnd returns the radio to standby when the burst leaves the air.
+//
+//hot:path
+func (r *Radio) burstEnd(_ *sim.Kernel, gen uint64) {
+	if r.gen != gen {
+		return // crashed mid-burst; AbortTx already truncated it
+	}
+	r.stats.TxFrames++
+	r.txAirTime += r.txAir
+	r.txBusy = false
+	r.setMode(ModeStandby)
+	done := r.txDone
+	r.txDone = nil
+	if done != nil {
+		done()
+	}
 }
 
 // Crash models a node power loss: any burst in progress is truncated on
@@ -310,6 +362,9 @@ func (r *Radio) Fire(done func()) {
 // radio behaves like a freshly powered chip (mode off, empty FIFOs).
 func (r *Radio) Crash() {
 	r.gen++
+	clear(r.loads)
+	r.loads = r.loads[:0]
+	r.txFrame, r.txDone, r.rxFrame = packet.Frame{}, nil, packet.Frame{}
 	if r.txBusy {
 		r.ch.AbortTx(r)
 		r.txBusy = false
@@ -383,31 +438,36 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 	// interrupt per byte (cheap), then the upper layer handler runs.
 	r.lastRxEnd = r.k.Now()
 	r.draining = true
+	r.rxFrame = frame
 	drain := r.params.RxClockOut(len(frame.Payload))
 	r.productiveRx += drain
-	gen := r.gen
-	//lint:allow hotalloc the drain closure is the kernel handler ABI: one bounded allocation per accepted frame
-	r.k.Schedule(drain, func(*sim.Kernel) {
-		if r.gen != gen {
-			return // node crashed mid-drain; the frame is lost
-		}
-		if r.mode != ModeRx || !r.draining {
-			return // upper layer repurposed the radio mid-drain
-		}
-		r.draining = false
-		r.rxSince = r.k.Now() // listening resumes after the drain
-		r.stats.RxAccepted++
-		// Charge the per-byte FIFO interrupts to the MCU, but invoke the
-		// handler at hardware time: on the MSP430 the radio interrupt
-		// preempts whatever task is running, so time-critical reactions
-		// (power the radio down, stamp the frame) are immediate, while
-		// any heavy processing the handler wants is posted as a task.
-		isrCycles := int64(len(frame.Payload)+1) * r.params.PerByteISRCycles
-		r.sched.Interrupt("radio-rx", isrCycles, nil)
-		if r.onRecv != nil {
-			r.onRecv(frame)
-		}
-	})
+	r.k.ScheduleArg(r.k.Now()+drain, r.onDrained, r.gen)
+}
+
+// drained hands the drained frame to the upper layer.
+//
+//hot:path
+func (r *Radio) drained(k *sim.Kernel, gen uint64) {
+	if r.gen != gen {
+		return // node crashed mid-drain; the frame is lost
+	}
+	if r.mode != ModeRx || !r.draining {
+		return // upper layer repurposed the radio mid-drain
+	}
+	frame := r.rxFrame
+	r.draining = false
+	r.rxSince = k.Now() // listening resumes after the drain
+	r.stats.RxAccepted++
+	// Charge the per-byte FIFO interrupts to the MCU, but invoke the
+	// handler at hardware time: on the MSP430 the radio interrupt
+	// preempts whatever task is running, so time-critical reactions
+	// (power the radio down, stamp the frame) are immediate, while
+	// any heavy processing the handler wants is posted as a task.
+	isrCycles := int64(len(frame.Payload)+1) * r.params.PerByteISRCycles
+	r.sched.Interrupt("radio-rx", isrCycles, nil)
+	if r.onRecv != nil {
+		r.onRecv(frame)
+	}
 }
 
 // setMode performs the meter transition for a mode change.

@@ -170,3 +170,32 @@ func TestLoadOverwritesPreviousFIFOContent(t *testing.T) {
 		t.Fatalf("fired frame = %+v, want the second load", rx.got)
 	}
 }
+
+func TestSetRxAddressesReusesFilter(t *testing.T) {
+	// MACs reprogram the filter for every listen window; after the first
+	// call the map is refilled in place, and a filter rebuilt for the
+	// same pipes accepts and drops exactly as a fresh one does.
+	r := newRig()
+	tx := r.station("node1", platform.IMEC())
+	rx := r.station("bs", platform.BaseStation())
+	rx.radio.SetRxAddresses(packet.AddrBSData, packet.AddrBSControl)
+	if allocs := testing.AllocsPerRun(100, func() {
+		rx.radio.SetRxAddresses(packet.NodeAddress(3))
+		rx.radio.SetRxAddresses(packet.AddrBSData, packet.AddrBSControl)
+	}); allocs != 0 {
+		t.Fatalf("SetRxAddresses allocated %.1f times per reprogramming, want 0", allocs)
+	}
+	r.k.Schedule(0, func(*sim.Kernel) { rx.radio.StartRx() })
+	for i, dest := range []packet.Address{packet.AddrBSControl, packet.NodeAddress(3), packet.AddrBSData} {
+		r.k.Schedule(sim.Time(1+10*i)*sim.Millisecond, func(*sim.Kernel) {
+			tx.radio.Transmit(dest, make([]byte, 4), nil)
+		})
+	}
+	r.k.RunUntil(40 * sim.Millisecond)
+	if len(rx.got) != 2 || rx.got[0].Dest != packet.AddrBSControl || rx.got[1].Dest != packet.AddrBSData {
+		t.Fatalf("accepted %+v, want the control and data frames", rx.got)
+	}
+	if got := rx.radio.Stats().AddrDrops; got != 1 {
+		t.Fatalf("AddrDrops = %d, want the one frame to a pipe no longer listed", got)
+	}
+}

@@ -23,6 +23,8 @@ type event struct {
 	seq     uint64 // tie-breaker: FIFO among events at the same instant
 	id      EventID
 	handler Handler
+	fn      ArgHandler // set instead of handler by ScheduleArg
+	arg     uint64
 	index   int // heap index, maintained by eventQueue
 	dead    bool
 }
@@ -61,10 +63,10 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-func (s *heapSched) schedule(at Time, seq uint64, h Handler) EventID {
+func (s *heapSched) schedule(at Time, seq uint64, h Handler, fn ArgHandler, arg uint64) EventID {
 	s.nextID++
 	//lint:allow hotalloc the legacy reference scheduler allocates per event by design; production runs use the pooled wheel
-	e := &event{at: at, seq: seq, id: s.nextID, handler: h}
+	e := &event{at: at, seq: seq, id: s.nextID, handler: h, fn: fn, arg: arg}
 	heap.Push(&s.queue, e)
 	s.live[e.id] = e
 	return e.id
@@ -77,7 +79,7 @@ func (s *heapSched) cancel(id EventID) bool {
 	}
 	delete(s.live, id)
 	e.dead = true
-	e.handler = nil
+	e.handler, e.fn = nil, nil
 	if e.index >= 0 {
 		heap.Remove(&s.queue, e.index)
 	}
@@ -87,18 +89,18 @@ func (s *heapSched) cancel(id EventID) bool {
 func (s *heapSched) pending() int { return len(s.live) }
 
 // next pops the earliest live event, skipping cancelled entries.
-func (s *heapSched) next() (Handler, Time, bool) {
+func (s *heapSched) next() (Handler, ArgHandler, uint64, Time, bool) {
 	for len(s.queue) > 0 {
 		e := heap.Pop(&s.queue).(*event)
 		if e.dead {
 			continue
 		}
 		delete(s.live, e.id)
-		h := e.handler
-		e.handler = nil
-		return h, e.at, true
+		h, fn := e.handler, e.fn
+		e.handler, e.fn = nil, nil
+		return h, fn, e.arg, e.at, true
 	}
-	return nil, 0, false
+	return nil, nil, 0, 0, false
 }
 
 // peek reports the instant of the earliest live event.

@@ -10,6 +10,12 @@ import (
 // the kernel so that handlers can schedule follow-up events.
 type Handler func(k *Kernel)
 
+// ArgHandler is the typed handler form for ScheduleArg: a component binds
+// it once (a method value stored in a field) and passes per-event state
+// in arg — typically a crash generation or a pool index — so re-arming
+// it never allocates a closure.
+type ArgHandler func(k *Kernel, arg uint64)
+
 // EventID identifies a scheduled event so it can be cancelled before it
 // fires. The zero EventID is never issued.
 //
@@ -223,9 +229,29 @@ func (k *Kernel) ScheduleAt(at Time, handler Handler) EventID {
 	}
 	k.nextSeq++
 	if k.legacy != nil {
-		return k.legacy.schedule(at, k.nextSeq, handler)
+		return k.legacy.schedule(at, k.nextSeq, handler, nil, 0)
 	}
-	return k.wheel.schedule(at, k.nextSeq, handler)
+	return k.wheel.schedule(at, k.nextSeq, handler, nil, 0)
+}
+
+// ScheduleArg posts fn(k, arg) to run at the absolute instant at. It is
+// ScheduleAt for handlers bound once per component: the event carries
+// arg instead of a captured closure, shares the same (at, seq) order and
+// pool, and is cancelled with the same Cancel.
+//
+//hot:path
+func (k *Kernel) ScheduleArg(at Time, fn ArgHandler, arg uint64) EventID {
+	if fn == nil {
+		panic("sim: ScheduleArg with nil handler")
+	}
+	if at < k.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past (now=%v, at=%v)", k.now, at))
+	}
+	k.nextSeq++
+	if k.legacy != nil {
+		return k.legacy.schedule(at, k.nextSeq, nil, fn, arg)
+	}
+	return k.wheel.schedule(at, k.nextSeq, nil, fn, arg)
 }
 
 // Schedule posts handler to run after the relative delay d (which may be
@@ -258,23 +284,31 @@ func (k *Kernel) step() bool {
 		return false
 	}
 	if k.legacy != nil {
-		h, at, ok := k.legacy.next()
+		h, fn, arg, at, ok := k.legacy.next()
 		if !ok {
 			return false
 		}
-		k.now = at
-		k.executed++
-		h(k)
+		k.dispatch(at, h, fn, arg)
 		return true
 	}
 	if !k.wheel.ensureReady() {
 		return false
 	}
-	h, at := k.wheel.popReady()
+	h, fn, arg, at := k.wheel.popReady()
+	k.dispatch(at, h, fn, arg)
+	return true
+}
+
+// dispatch advances the clock to at and runs one fired event in
+// whichever form it was scheduled.
+func (k *Kernel) dispatch(at Time, h Handler, fn ArgHandler, arg uint64) {
 	k.now = at
 	k.executed++
+	if fn != nil {
+		fn(k, arg)
+		return
+	}
 	h(k)
-	return true
 }
 
 // RunUntil executes events in order until the queue is empty, Stop is
@@ -301,10 +335,8 @@ func (k *Kernel) RunUntil(horizon Time) {
 			if k.executed >= k.checkAt && k.tripNow() {
 				break
 			}
-			h, at := k.wheel.popReady()
-			k.now = at
-			k.executed++
-			h(k)
+			h, fn, arg, at := k.wheel.popReady()
+			k.dispatch(at, h, fn, arg)
 		}
 	}
 	if !k.stopped && k.now < horizon {

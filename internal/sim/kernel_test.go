@@ -182,6 +182,52 @@ func TestNilHandlerPanics(t *testing.T) {
 	NewKernel(1).Schedule(0, nil)
 }
 
+func TestScheduleArgMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(k *Kernel){
+		"nil handler": func(k *Kernel) { k.ScheduleArg(0, nil, 0) },
+		"past instant": func(k *Kernel) {
+			k.RunUntil(10)
+			k.ScheduleArg(5, func(*Kernel, uint64) {}, 0)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ScheduleArg with %s did not panic", name)
+				}
+			}()
+			misuse(NewKernel(1))
+		})
+	}
+}
+
+// TestScheduleArgSharesSeqOrder checks both handler forms draw from one
+// sequence: same-instant events fire in scheduling order whatever their
+// form, on both schedulers, and each arg event sees its own arg.
+func TestScheduleArgSharesSeqOrder(t *testing.T) {
+	for _, news := range []func(int64) *Kernel{NewKernel, NewHeapKernel} {
+		k := news(1)
+		var order []uint64
+		fn := func(_ *Kernel, arg uint64) { order = append(order, arg) }
+		for i := uint64(0); i < 6; i++ {
+			if i%2 == 0 {
+				k.ScheduleArg(Millisecond, fn, i)
+			} else {
+				k.ScheduleAt(Millisecond, func(*Kernel) { order = append(order, i) })
+			}
+		}
+		k.Run()
+		for i, v := range order {
+			if v != uint64(i) {
+				t.Fatalf("same-instant order %v, want 0..5", order)
+			}
+		}
+		if k.Executed() != 6 {
+			t.Fatalf("executed %d, want 6", k.Executed())
+		}
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

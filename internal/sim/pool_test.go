@@ -89,21 +89,36 @@ func TestPoolReusesSlots(t *testing.T) {
 }
 
 // TestPoolZeroesOnRecycle verifies the recycled slot carries nothing
-// into its next life: no handler reference, no stale list links, and a
-// bumped generation so the old EventID is dead.
+// into its next life: no handler reference in either form, no arg, no
+// stale list links, and a bumped generation so the old EventID is dead.
 func TestPoolZeroesOnRecycle(t *testing.T) {
 	k := NewKernel(0)
+	w := &k.wheel
+	check := func(form string, id EventID) {
+		t.Helper()
+		e := &w.events[int32(id>>32)-1]
+		if e.handler != nil || e.fn != nil || e.arg != 0 || e.at != 0 || e.seq != 0 ||
+			e.loc != locFree || e.prev != -1 {
+			t.Fatalf("%s: recycled slot not zeroed: %+v", form, *e)
+		}
+		if e.gen == uint32(id) {
+			t.Fatalf("%s: generation not bumped on recycle", form)
+		}
+	}
 	id := k.Schedule(5, func(*Kernel) {})
 	if !k.Cancel(id) {
 		t.Fatal("cancel failed")
 	}
-	w := &k.wheel
-	idx := int32(id>>32) - 1
-	e := &w.events[idx]
-	if e.handler != nil || e.at != 0 || e.seq != 0 || e.loc != locFree || e.prev != -1 {
-		t.Fatalf("recycled slot not zeroed: %+v", *e)
+	check("cancelled closure event", id)
+
+	fn := func(*Kernel, uint64) {}
+	id = k.ScheduleArg(5, fn, 0xfeed)
+	if !k.Cancel(id) {
+		t.Fatal("cancel failed")
 	}
-	if e.gen == uint32(id) {
-		t.Fatal("generation not bumped on recycle")
-	}
+	check("cancelled arg event", id)
+
+	id = k.ScheduleArg(7, fn, 0xbeef)
+	k.Run()
+	check("fired arg event", id)
 }

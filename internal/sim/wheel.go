@@ -51,11 +51,15 @@ const (
 // intrusive doubly-linked list over pool indices so cancellation
 // unlinks in O(1). gen is the slot's generation counter: it is bumped
 // on every recycle, so an EventID referring to a previous occupant of
-// the slot can never cancel the current one.
+// the slot can never cancel the current one. Exactly one of handler
+// (Schedule) and fn (ScheduleArg) is set while the event is live; both
+// nil marks a cancelled ready tombstone or a free slot.
 type poolEvent struct {
 	at      Time
 	seq     uint64
 	handler Handler
+	fn      ArgHandler
+	arg     uint64
 	next    int32
 	prev    int32
 	loc     int32
@@ -122,6 +126,8 @@ func (w *wheel) recycle(idx int32) {
 	e.at = 0
 	e.seq = 0
 	e.handler = nil
+	e.fn = nil
+	e.arg = 0
 	e.prev = -1
 	e.loc = locFree
 	e.gen++
@@ -130,6 +136,10 @@ func (w *wheel) recycle(idx int32) {
 	w.nfree++
 	w.recycd++
 }
+
+// dead reports whether the entry carries no handler: a cancelled ready
+// tombstone (or a free slot).
+func (e *poolEvent) dead() bool { return e.handler == nil && e.fn == nil }
 
 func (w *wheel) stats() PoolStats {
 	return PoolStats{
@@ -154,12 +164,14 @@ func (w *wheel) before(a, b int32) bool {
 // state. Pool growth amortises through the sanctioned self-append.
 //
 //hot:path
-func (w *wheel) schedule(at Time, seq uint64, h Handler) EventID {
+func (w *wheel) schedule(at Time, seq uint64, h Handler, fn ArgHandler, arg uint64) EventID {
 	idx := w.alloc()
 	e := &w.events[idx]
 	e.at = at
 	e.seq = seq
 	e.handler = h
+	e.fn = fn
+	e.arg = arg
 	w.live++
 	w.place(idx)
 	return EventID(uint64(idx)+1)<<32 | EventID(e.gen)
@@ -270,9 +282,10 @@ func (w *wheel) spillRemove(idx int32) {
 }
 
 // cancel invalidates a pending event. Wheel and spill residents unlink
-// and recycle immediately; ready residents become tombstones (handler
-// nil) swept when the ready tail is next popped, so cancelling during a
-// same-instant batch never disturbs positions behind the tail.
+// and recycle immediately; ready residents become tombstones (both
+// handler forms nil) swept when the ready tail is next popped, so
+// cancelling during a same-instant batch never disturbs positions
+// behind the tail.
 //
 //hot:path
 func (w *wheel) cancel(id EventID) bool {
@@ -281,13 +294,13 @@ func (w *wheel) cancel(id EventID) bool {
 		return false
 	}
 	e := &w.events[idx]
-	if e.gen != uint32(id) || e.loc == locFree || e.handler == nil {
+	if e.gen != uint32(id) || e.loc == locFree || e.dead() {
 		return false
 	}
 	w.live--
 	switch e.loc {
 	case locReady:
-		e.handler = nil
+		e.handler, e.fn = nil, nil
 	case locSpill:
 		w.spillRemove(idx)
 		w.recycle(idx)
@@ -367,7 +380,7 @@ func (w *wheel) ensureReady() bool {
 	for {
 		for n := len(w.ready); n > 0; n = len(w.ready) {
 			idx := w.ready[n-1]
-			if w.events[idx].handler != nil {
+			if !w.events[idx].dead() {
 				return true
 			}
 			w.ready = w.ready[:n-1]
@@ -444,20 +457,20 @@ func (w *wheel) advance() {
 }
 
 // popReady removes and recycles the earliest live event, returning its
-// handler and instant. The slot is recycled before the handler runs, so
-// cancelling the fired ID from inside the handler reports false exactly
-// as the heap scheduler did.
+// handler (in whichever form it was scheduled) and instant. The slot is
+// recycled before the handler runs, so cancelling the fired ID from
+// inside the handler reports false exactly as the heap scheduler did.
 //
 //hot:path
-func (w *wheel) popReady() (Handler, Time) {
+func (w *wheel) popReady() (Handler, ArgHandler, uint64, Time) {
 	n := len(w.ready) - 1
 	idx := w.ready[n]
 	w.ready = w.ready[:n]
 	e := &w.events[idx]
-	h, at := e.handler, e.at
+	h, fn, arg, at := e.handler, e.fn, e.arg, e.at
 	w.live--
 	w.recycle(idx)
-	return h, at
+	return h, fn, arg, at
 }
 
 // peekReady reports the instant of the ready tail. Only valid after

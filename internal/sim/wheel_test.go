@@ -39,10 +39,27 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 		}
 	}
 
+	// Arg-form events share one bound handler; the arg names the tag
+	// and the per-tag state lives in argLeft, as a component's would.
+	var argLeft []int
+	var argFire ArgHandler
+	argFire = func(kk *Kernel, arg uint64) {
+		trace = append(trace, fmt.Sprintf("fire-arg %d @%d", arg, kk.Now()))
+		if argLeft[arg] > 0 {
+			argLeft[arg]--
+			ids = append(ids, kk.ScheduleArg(kk.Now()+delay(), argFire, arg))
+		}
+	}
+
 	schedule := func() {
 		t := tag
 		tag++
 		reschedules := rng.Intn(3)
+		if rng.Intn(2) == 0 {
+			argLeft = append(argLeft, reschedules)
+			ids = append(ids, k.ScheduleArg(k.Now()+delay(), argFire, uint64(len(argLeft)-1)))
+			return
+		}
 		var h Handler
 		h = func(kk *Kernel) {
 			trace = append(trace, fmt.Sprintf("fire %d @%d", t, kk.Now()))
@@ -78,7 +95,8 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 // TestWheelMatchesHeapRandomized pins the timer wheel against the
 // original heap scheduler (the reference model) on randomized
 // workloads: identical fire order, instants, cancel results and
-// counters, across ties, generation invalidation and spill overflow.
+// counters, across ties, generation invalidation and spill overflow,
+// with closure-form and arg-form events interleaved.
 func TestWheelMatchesHeapRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		wheelTrace := opTrace(NewKernel(0), seed, 400)
@@ -194,6 +212,64 @@ func TestScheduleAfterCancelAtHead(t *testing.T) {
 				if order[i] != want[i] {
 					t.Fatalf("order = %v, want %v", order, want)
 				}
+			}
+		})
+	}
+}
+
+// TestArgEventCancelEveryLocation cancels arg-form events wherever the
+// wheel can hold them — the ready list (a same-instant schedule from
+// inside a handler), a wheel bucket and the spill — and checks on both
+// schedulers that none fires, the pending count and pool balance close,
+// and a stale ID stays dead.
+func TestArgEventCancelEveryLocation(t *testing.T) {
+	for _, mk := range []struct {
+		name string
+		news func(int64) *Kernel
+	}{{"wheel", NewKernel}, {"heap", NewHeapKernel}} {
+		t.Run(mk.name, func(t *testing.T) {
+			k := mk.news(0)
+			var fired []uint64
+			fn := func(_ *Kernel, arg uint64) { fired = append(fired, arg) }
+			k.ScheduleAt(Millisecond, func(kk *Kernel) {
+				now := kk.Now()
+				cases := []struct {
+					name string
+					at   Time
+					loc  func(int32) bool
+				}{
+					{"ready", now, func(l int32) bool { return l == locReady }},
+					{"bucket", now + 3*Millisecond, func(l int32) bool { return l >= 0 }},
+					{"spill", now + 6*60*Minute, func(l int32) bool { return l == locSpill }},
+				}
+				for i, c := range cases {
+					id := kk.ScheduleArg(c.at, fn, uint64(100+i))
+					if kk.legacy == nil {
+						if loc := kk.wheel.events[int32(id>>32)-1].loc; !c.loc(loc) {
+							t.Fatalf("%s event filed at loc %d", c.name, loc)
+						}
+					}
+					if !kk.Cancel(id) {
+						t.Fatalf("cancel of the %s event failed", c.name)
+					}
+					if kk.Cancel(id) {
+						t.Fatalf("%s event cancelled twice", c.name)
+					}
+				}
+				kk.ScheduleArg(now, fn, 1) // a live event behind the ready tombstone
+			})
+			k.Run()
+			if len(fired) != 1 || fired[0] != 1 {
+				t.Fatalf("fired args %v, want only the live event's 1", fired)
+			}
+			if k.Pending() != 0 {
+				t.Fatalf("pending %d after drain", k.Pending())
+			}
+			if v := k.AuditPool(); v != nil {
+				t.Fatalf("pool audit: %v", v)
+			}
+			if st := k.PoolStats(); st.Allocated != st.Recycled {
+				t.Fatalf("pool leak: allocated %d recycled %d", st.Allocated, st.Recycled)
 			}
 		})
 	}

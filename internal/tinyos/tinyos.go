@@ -28,13 +28,27 @@ type Task struct {
 
 // Sched is the operating-system scheduler bound to one MCU.
 type Sched struct {
-	k        *sim.Kernel
-	mcu      *mcu.MCU
-	queueCap int
+	k   *sim.Kernel
+	mcu *mcu.MCU
 
-	queued  int
+	// slots are the task-queue entries and free the indices of the
+	// unoccupied ones. A posted task occupies a slot until its
+	// computation completes; the slot's completion callback is bound to
+	// it once, so posting allocates nothing and the completion knows
+	// its task without a wrapper closure. A task abandoned by an MCU
+	// crash never completes and keeps its slot.
+	slots []taskSlot
+	free  []int
+
 	posted  uint64
 	dropped uint64
+}
+
+// taskSlot is one task-queue entry: the pending task's effects and the
+// slot's bound completion.
+type taskSlot struct {
+	run  func()
+	done func()
 }
 
 // NewSched creates a scheduler over the given MCU. queueCap <= 0 selects
@@ -43,7 +57,12 @@ func NewSched(k *sim.Kernel, m *mcu.MCU, queueCap int) *Sched {
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
 	}
-	return &Sched{k: k, mcu: m, queueCap: queueCap}
+	s := &Sched{k: k, mcu: m, slots: make([]taskSlot, queueCap), free: make([]int, queueCap)}
+	for i := range s.slots {
+		s.slots[i].done = func() { s.finish(i) }
+		s.free[i] = queueCap - 1 - i
+	}
+	return s
 }
 
 // MCU exposes the scheduler's microcontroller.
@@ -55,23 +74,36 @@ func (s *Sched) Kernel() *sim.Kernel { return s.k }
 // Post enqueues a task, TinyOS-style: it reports false (and drops the
 // task) when the queue is full — a real failure mode of overloaded nodes
 // that instruction-level simulators surface and simple models miss.
+//
+//hot:path
 func (s *Sched) Post(t Task) bool {
 	if t.Cycles < 0 {
 		panic(fmt.Sprintf("tinyos: task %q with negative cycles", t.Name))
 	}
-	if s.queued >= s.queueCap {
+	n := len(s.free)
+	if n == 0 {
 		s.dropped++
 		return false
 	}
-	s.queued++
+	i := s.free[n-1]
+	s.free = s.free[:n-1]
 	s.posted++
-	s.mcu.Exec(t.Cycles, func() {
-		s.queued--
-		if t.Run != nil {
-			t.Run()
-		}
-	})
+	s.slots[i].run = t.Run
+	s.mcu.Exec(t.Cycles, s.slots[i].done)
 	return true
+}
+
+// finish completes the task in slot i: the slot frees before the task's
+// effects run, so a task may re-post itself into a full queue.
+//
+//hot:path
+func (s *Sched) finish(i int) {
+	run := s.slots[i].run
+	s.slots[i].run = nil
+	s.free = append(s.free, i)
+	if run != nil {
+		run()
+	}
 }
 
 // PostFn is Post with inline fields.
@@ -83,6 +115,8 @@ func (s *Sched) PostFn(name string, cycles int64, run func()) bool {
 // like a task (the executor serialises it behind any running task, which
 // models interrupts being deferred until the current atomic section
 // ends) but is never dropped — hardware events cannot be declined.
+//
+//hot:path
 func (s *Sched) Interrupt(name string, cycles int64, run func()) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("tinyos: interrupt %q with negative cycles", name))
@@ -104,7 +138,7 @@ func (s *Sched) Posted() uint64 { return s.posted }
 func (s *Sched) Dropped() uint64 { return s.dropped }
 
 // QueueLen reports the tasks pending or running.
-func (s *Sched) QueueLen() int { return s.queued }
+func (s *Sched) QueueLen() int { return len(s.slots) - len(s.free) }
 
 // Timer is a virtual OS timer: each firing costs a small bookkeeping task
 // (timer ISR + re-arm) before the user callback runs.
@@ -112,7 +146,7 @@ type Timer struct {
 	s        *Sched
 	inner    *sim.Timer
 	overhead int64
-	name     string
+	isr      string // the firing's interrupt name, built once
 	fn       func()
 }
 
@@ -122,9 +156,9 @@ const TimerOverheadCycles = 120
 
 // NewTimer creates a stopped OS timer that runs fn on each firing.
 func NewTimer(s *Sched, name string, fn func()) *Timer {
-	t := &Timer{s: s, overhead: TimerOverheadCycles, name: name, fn: fn}
+	t := &Timer{s: s, overhead: TimerOverheadCycles, isr: "timer:" + name, fn: fn}
 	t.inner = sim.NewTimer(s.k, func(*sim.Kernel) {
-		s.Interrupt("timer:"+t.name, t.overhead, t.fn)
+		s.Interrupt(t.isr, t.overhead, t.fn)
 	})
 	return t
 }

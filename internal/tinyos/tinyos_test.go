@@ -65,6 +65,38 @@ func TestQueueDrainsAndRefills(t *testing.T) {
 	}
 }
 
+// TestCrashAbandonsQueuedTasks pins the task queue across an MCU crash:
+// tasks pending at the crash never run and keep their queue entries,
+// and a task posted after the reboot runs its own effects, never a
+// stale task's.
+func TestCrashAbandonsQueuedTasks(t *testing.T) {
+	k, s := newSched(t, 3)
+	var ran []string
+	k.Schedule(0, func(*sim.Kernel) {
+		s.PostFn("stale-a", 1000, func() { ran = append(ran, "stale-a") })
+		s.PostFn("stale-b", 1000, func() { ran = append(ran, "stale-b") })
+	})
+	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) {
+		s.MCU().Crash()
+		s.MCU().Reboot()
+	})
+	k.Schedule(sim.Millisecond, func(*sim.Kernel) {
+		if !s.PostFn("fresh", 1000, func() { ran = append(ran, "fresh") }) {
+			t.Error("post into the one free entry rejected")
+		}
+		if s.PostFn("overflow", 1000, func() { ran = append(ran, "overflow") }) {
+			t.Error("abandoned tasks did not keep their queue entries")
+		}
+	})
+	k.Run()
+	if len(ran) != 1 || ran[0] != "fresh" {
+		t.Fatalf("ran %v, want only the post-reboot task", ran)
+	}
+	if got := s.QueueLen(); got != 2 {
+		t.Fatalf("QueueLen = %d after drain, want the 2 abandoned tasks", got)
+	}
+}
+
 func TestInterruptBypassesQueueCap(t *testing.T) {
 	k, s := newSched(t, 1)
 	ran := 0
