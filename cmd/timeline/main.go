@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/app"
@@ -29,15 +31,28 @@ const (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the flags in args, simulates the trace and writes the
+// rendered timeline to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	var (
-		macName  = flag.String("mac", "static", "MAC protocol: static | dynamic | csma | lpl")
-		horizon  = flag.Duration("duration", 0, "simulated time to trace (default 400ms)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		crash    = flag.Bool("crash", false, "crash node 1 mid-trace and reboot it, to show the recovery sequence")
-		degrade  = flag.Bool("degrade", false, "run the nodes on nearly-empty cells, to show the graceful-degradation cascade down to brownout")
-		traceOut = flag.String("trace-out", "", "also write the timeline as Chrome trace_event JSON (open in chrome://tracing)")
+		macName  = fs.String("mac", "static", "MAC protocol: static | dynamic | csma | lpl")
+		horizon  = fs.Duration("duration", 0, "simulated time to trace (default 400ms)")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		crash    = fs.Bool("crash", false, "crash node 1 mid-trace and reboot it, to show the recovery sequence")
+		degrade  = fs.Bool("degrade", false, "run the nodes on nearly-empty cells, to show the graceful-degradation cascade down to brownout")
+		traceOut = fs.String("trace-out", "", "also write the timeline as Chrome trace_event JSON (open in chrome://tracing)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	proto := mac.Protocol(*macName)
 	variant := mac.Static
@@ -57,8 +72,7 @@ func main() {
 		figure = "Preamble-sampling LPL timeline"
 		legend = "(strobe trains wake the duty-cycled base station; an early ack truncates the train)"
 	default:
-		fmt.Fprintf(os.Stderr, "timeline: unknown MAC %q (registered: %v)\n", *macName, mac.Protocols())
-		os.Exit(1)
+		return fmt.Errorf("unknown MAC %q (registered: %v)", *macName, mac.Protocols())
 	}
 
 	until := sim.FromDuration(*horizon)
@@ -122,24 +136,21 @@ func main() {
 	}
 	k.RunUntil(until)
 
-	fmt.Println(figure)
-	fmt.Println(legend)
-	fmt.Println()
-	fmt.Print(tracer.Render())
+	fmt.Fprintln(w, figure)
+	fmt.Fprintln(w, legend)
+	fmt.Fprintln(w)
+	fmt.Fprint(w, tracer.Render())
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-			os.Exit(1)
-		}
-		if err := metrics.WriteChromeTrace(f, tracer.Events()); err != nil {
-			fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-			os.Exit(1)
-		}
+	if *traceOut == "" {
+		return nil
 	}
+	f, err := os.Create(*traceOut)
+	if err != nil {
+		return err
+	}
+	if err := metrics.WriteChromeTrace(f, tracer.Events()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
