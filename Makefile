@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check soak resume-check fuzz sweep-demo
+.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check perfbench-check soak resume-check fuzz sweep-demo
 
-ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest bench-check soak resume-check
+ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest bench-check perfbench-check soak resume-check
 
 vet:
 	$(GO) vet ./...
@@ -139,6 +139,12 @@ bench-snapshot:
 
 bench-check:
 	$(GO) run ./cmd/bench -check $(BENCH_SNAPSHOT)
+
+# The end-to-end benchmark harness (BENCHMARK.json, perfbench/) is a
+# nested module, so the root `go build ./...` and `go test ./...` skip
+# it; vet and test it here so an API change it depends on fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The chaos soak corpus (README "Auditing & soak testing"): 64 fixed
 # seeds, each a randomized scenario run on both schedulers with every

@@ -249,7 +249,7 @@ func BenchmarkAblationEventSimVsAnalytic(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			an, err := analytic.Compute(analytic.Scenario{Variant: mac.Static,
+			an, err := analytic.Compute(analytic.Scenario{Protocol: mac.ProtoStatic,
 				Nodes: row.Nodes, Cycle: row.Cycle, App: "streaming",
 				SampleRateHz: row.SampleRateHz, Duration: 60 * sim.Second})
 			if err != nil {

@@ -31,7 +31,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -48,7 +47,7 @@ import (
 func main() {
 	var (
 		mode     = flag.String("mode", "cycle", "sweep dimension: cycle | nodes | fs | ber | drift | clock | crashrate | lifetime | maccompare")
-		appName  = flag.String("app", "streaming", "application: streaming | rpeak | hrv")
+		appName  = flag.String("app", "streaming", "application: streaming | rpeak | hrv | eeg")
 		macName  = flag.String("mac", "static", "MAC protocol: static | dynamic | csma | lpl (ignored by -mode maccompare, which runs them all)")
 		nodes    = flag.Int("nodes", 5, "node count (fixed dimensions)")
 		duration = flag.Duration("duration", 20*time.Second, "measurement window per point")
@@ -72,17 +71,9 @@ func main() {
 	if _, ok := mac.Lookup(proto); !ok {
 		fatalf("unknown MAC %q (registered: %v)", *macName, mac.Protocols())
 	}
-	var app core.AppKind
-	switch *appName {
-	case "streaming":
-		app = core.AppStreaming
-	case "rpeak":
-		app = core.AppRpeak
-	case "hrv":
-		app = core.AppHRV
-	default:
-		fatalf("unknown app %q", *appName)
-	}
+	// An unknown app fails every point in core's validation, naming
+	// the valid apps.
+	app := core.AppKind(*appName)
 
 	base := core.Config{
 		Protocol: proto,
@@ -248,17 +239,7 @@ func main() {
 
 	if *metOut != "" {
 		if agg := runner.AggregateMetrics(results); agg != nil {
-			var data []byte
-			if strings.HasSuffix(*metOut, ".csv") {
-				data = []byte(agg.CSV())
-			} else {
-				var err error
-				data, err = agg.JSON()
-				if err != nil {
-					fatalf("metrics: %v", err)
-				}
-			}
-			if err := os.WriteFile(*metOut, data, 0o644); err != nil {
+			if err := agg.WriteFile(*metOut); err != nil {
 				fatalf("metrics: %v", err)
 			}
 		}

@@ -19,10 +19,7 @@ func TestKillResumeRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the sweep binary")
 	}
-	bin := filepath.Join(t.TempDir(), "sweep")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building sweep: %v\n%s", err, out)
-	}
+	bin := buildSweep(t)
 	args := []string{"-mode", "ber", "-duration", "10s", "-workers", "1"}
 
 	ref, err := exec.Command(bin, args...).Output()
@@ -93,10 +90,7 @@ func TestFailedPointExitsNonZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the sweep binary")
 	}
-	bin := filepath.Join(t.TempDir(), "sweep")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building sweep: %v\n%s", err, out)
-	}
+	bin := buildSweep(t)
 	// A zero measurement window fails every point's validation.
 	cmd := exec.Command(bin, "-mode", "cycle", "-duration", "0s", "-workers", "2")
 	var out, errb bytes.Buffer
@@ -112,4 +106,44 @@ func TestFailedPointExitsNonZero(t *testing.T) {
 	if !strings.HasPrefix(out.String(), "point,") {
 		t.Fatalf("no CSV emitted:\n%s", out.String())
 	}
+}
+
+// TestAppSelection: every core application runs through -app, and an
+// unknown one fails in core's validation, whose message names the valid
+// apps.
+func TestAppSelection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the sweep binary")
+	}
+	bin := buildSweep(t)
+	cmd := exec.Command(bin, "-mode", "nodes", "-app", "eeg", "-duration", "1s", "-workers", "2")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("sweep -app eeg: %v\n%s", err, errb.String())
+	}
+	if rows := strings.Count(out.String(), "\nnodes="); rows != 5 {
+		t.Fatalf("sweep -app eeg emitted %d rows, want 5:\n%s", rows, out.String())
+	}
+
+	cmd = exec.Command(bin, "-mode", "nodes", "-app", "bogus", "-duration", "1s", "-workers", "2")
+	errb.Reset()
+	cmd.Stderr = &errb
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Fatalf("sweep -app bogus exited %v\n%s", err, errb.String())
+	}
+	if want := `core: unknown app "bogus" (want streaming, rpeak, hrv or eeg)`; !strings.Contains(errb.String(), want) {
+		t.Fatalf("stderr lacks core's message %q:\n%s", want, errb.String())
+	}
+}
+
+// buildSweep compiles the sweep binary into a test temp directory.
+func buildSweep(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building sweep: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -25,7 +25,7 @@ import (
 
 // Scenario describes the steady-state operating point to estimate.
 type Scenario struct {
-	Variant      mac.Variant
+	Protocol     mac.Protocol // mac.ProtoStatic or mac.ProtoDynamic
 	Nodes        int
 	Cycle        sim.Time // static cycle; dynamic derives (Nodes+1)*slot
 	App          string   // "streaming", "rpeak", "hrv" or "eeg"
@@ -57,6 +57,14 @@ func (e Estimate) MCUMJ() float64 { return e.MCUJ * 1e3 }
 
 // Compute evaluates the model.
 func Compute(s Scenario) (Estimate, error) {
+	var dynamic bool
+	switch s.Protocol {
+	case mac.ProtoStatic:
+	case mac.ProtoDynamic:
+		dynamic = true
+	default:
+		return Estimate{}, fmt.Errorf("analytic: the closed form covers static and dynamic TDMA, not %q", s.Protocol)
+	}
 	prof := platform.IMEC()
 	if s.Profile != nil {
 		prof = *s.Profile
@@ -77,7 +85,7 @@ func Compute(s Scenario) (Estimate, error) {
 	}
 
 	cycle := s.Cycle
-	if s.Variant == mac.Dynamic {
+	if dynamic {
 		cycle = prof.MAC.DynamicSlotDuration * sim.Time(s.Nodes+1)
 	}
 	if cycle <= 0 {
@@ -93,7 +101,7 @@ func Compute(s Scenario) (Estimate, error) {
 	// Beacon geometry.
 	beaconPayload := prof.MAC.BeaconBasePayloadBytes
 	guard := prof.MAC.StaticGuard
-	if s.Variant == mac.Dynamic {
+	if dynamic {
 		beaconPayload += prof.MAC.SlotEntryBytes * s.Nodes
 		guard = prof.MAC.DynamicGuard
 	}
@@ -149,7 +157,7 @@ func Compute(s Scenario) (Estimate, error) {
 	// Microcontroller: two-state model on top of the power-save floor.
 	m := prof.MCU
 	parse := prof.Cost.BeaconParseStatic
-	if s.Variant == mac.Dynamic {
+	if dynamic {
 		parse = prof.Cost.BeaconParseDynamic
 	}
 	var perSecActive sim.Time

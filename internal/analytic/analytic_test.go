@@ -20,10 +20,12 @@ func compute(t *testing.T, s Scenario) Estimate {
 
 func TestValidation(t *testing.T) {
 	bad := []Scenario{
-		{App: "streaming", SampleRateHz: 205, Cycle: 30 * sim.Millisecond, Nodes: 5}, // no duration
-		{App: "streaming", Duration: sim.Second, Cycle: 30 * sim.Millisecond},        // no rate
-		{App: "warp", Duration: sim.Second, Cycle: 30 * sim.Millisecond},             // bad app
-		{App: "rpeak", Duration: sim.Second},                                         // no cycle (static)
+		{Protocol: mac.ProtoStatic, App: "streaming", SampleRateHz: 205, Cycle: 30 * sim.Millisecond, Nodes: 5}, // no duration
+		{Protocol: mac.ProtoStatic, App: "streaming", Duration: sim.Second, Cycle: 30 * sim.Millisecond},        // no rate
+		{Protocol: mac.ProtoStatic, App: "warp", Duration: sim.Second, Cycle: 30 * sim.Millisecond},             // bad app
+		{Protocol: mac.ProtoStatic, App: "rpeak", Duration: sim.Second},                                         // no cycle (static)
+		{Protocol: mac.ProtoCSMA, App: "rpeak", Duration: sim.Second, Cycle: 30 * sim.Millisecond},              // not TDMA
+		{App: "rpeak", Duration: sim.Second, Cycle: 30 * sim.Millisecond},                                       // no protocol
 	}
 	for i, s := range bad {
 		if _, err := Compute(s); err == nil {
@@ -46,22 +48,22 @@ func TestMatchesPaperTables(t *testing.T) {
 		}
 	}
 	for _, row := range paperdata.Table1().Rows {
-		e := compute(t, Scenario{Variant: mac.Static, Nodes: row.Nodes, Cycle: row.Cycle,
+		e := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: row.Nodes, Cycle: row.Cycle,
 			App: "streaming", SampleRateHz: row.SampleRateHz, Duration: paperdata.Window})
 		check("t1/"+row.Label, e, row, 10, 12)
 	}
 	for _, row := range paperdata.Table2().Rows {
-		e := compute(t, Scenario{Variant: mac.Dynamic, Nodes: row.Nodes,
+		e := compute(t, Scenario{Protocol: mac.ProtoDynamic, Nodes: row.Nodes,
 			App: "streaming", SampleRateHz: row.SampleRateHz, Duration: paperdata.Window})
 		check("t2/"+row.Label, e, row, 10, 16)
 	}
 	for _, row := range paperdata.Table3().Rows {
-		e := compute(t, Scenario{Variant: mac.Static, Nodes: row.Nodes, Cycle: row.Cycle,
+		e := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: row.Nodes, Cycle: row.Cycle,
 			App: "rpeak", SampleRateHz: row.SampleRateHz, Duration: paperdata.Window})
 		check("t3/"+row.Label, e, row, 10, 10)
 	}
 	for _, row := range paperdata.Table4().Rows {
-		e := compute(t, Scenario{Variant: mac.Dynamic, Nodes: row.Nodes,
+		e := compute(t, Scenario{Protocol: mac.ProtoDynamic, Nodes: row.Nodes,
 			App: "rpeak", SampleRateHz: row.SampleRateHz, Duration: paperdata.Window})
 		// Wider band on n=2: that row is inconsistent with Table 2's n=2
 		// row in the paper itself (see core's TestTable4Reproduction).
@@ -74,7 +76,7 @@ func TestMatchesPaperTables(t *testing.T) {
 }
 
 func TestBreakdownSumsToTotal(t *testing.T) {
-	e := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
+	e := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 30 * sim.Millisecond,
 		App: "streaming", SampleRateHz: 205, Duration: paperdata.Window})
 	if math.Abs(e.RadioJ-(e.BeaconListenJ+e.DataTxJ+e.AckListenJ)) > 1e-9 {
 		t.Fatalf("radio breakdown does not sum: %+v", e)
@@ -88,7 +90,7 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 }
 
 func TestScalesLinearlyWithDuration(t *testing.T) {
-	base := Scenario{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
+	base := Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 30 * sim.Millisecond,
 		App: "streaming", SampleRateHz: 205, Duration: 60 * sim.Second}
 	e60 := compute(t, base)
 	base.Duration = 120 * sim.Second
@@ -101,9 +103,9 @@ func TestScalesLinearlyWithDuration(t *testing.T) {
 func TestStreamingProductionCap(t *testing.T) {
 	// If the sampling rate cannot fill a payload per cycle, the packet
 	// rate is production-limited, not slot-limited.
-	slow := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
+	slow := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 30 * sim.Millisecond,
 		App: "streaming", SampleRateHz: 55, Duration: 60 * sim.Second})
-	fast := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
+	fast := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 30 * sim.Millisecond,
 		App: "streaming", SampleRateHz: 205, Duration: 60 * sim.Second})
 	if slow.DataTxJ >= fast.DataTxJ {
 		t.Fatalf("production cap not applied: %v >= %v", slow.DataTxJ, fast.DataTxJ)
@@ -111,9 +113,9 @@ func TestStreamingProductionCap(t *testing.T) {
 }
 
 func TestRpeakPacketRateTracksHeartRate(t *testing.T) {
-	hr75 := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
+	hr75 := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 120 * sim.Millisecond,
 		App: "rpeak", HeartRateBPM: 75, Duration: 60 * sim.Second})
-	hr150 := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
+	hr150 := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 120 * sim.Millisecond,
 		App: "rpeak", HeartRateBPM: 150, Duration: 60 * sim.Second})
 	ratio := hr150.DataTxJ / hr75.DataTxJ
 	if math.Abs(ratio-2) > 0.01 {
@@ -122,9 +124,9 @@ func TestRpeakPacketRateTracksHeartRate(t *testing.T) {
 }
 
 func TestHRVLowestRadio(t *testing.T) {
-	rp := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
+	rp := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 120 * sim.Millisecond,
 		App: "rpeak", Duration: 60 * sim.Second})
-	hrv := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
+	hrv := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 120 * sim.Millisecond,
 		App: "hrv", Duration: 60 * sim.Second})
 	if hrv.RadioJ >= rp.RadioJ {
 		t.Fatalf("hrv radio %.4f not below rpeak %.4f", hrv.RadioJ, rp.RadioJ)
@@ -138,7 +140,7 @@ func TestHRVLowestRadio(t *testing.T) {
 func TestEEGMatchesSimulator(t *testing.T) {
 	// Cross-check the closed form against the event simulator on the
 	// EEG monitor (no published table for this extension app).
-	est := compute(t, Scenario{Variant: mac.Static, Nodes: 2, Cycle: 60 * sim.Millisecond,
+	est := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 2, Cycle: 60 * sim.Millisecond,
 		App: "eeg", SampleRateHz: 128, Duration: 60 * sim.Second})
 	// Values measured from core.Run on the same scenario (seed 12; see
 	// core's TestEEGMonitorOverBAN): radio ≈ 230 mJ, µC ≈ 129 mJ.
@@ -151,9 +153,9 @@ func TestEEGMatchesSimulator(t *testing.T) {
 }
 
 func TestFigure4SavingAnalytically(t *testing.T) {
-	stream := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
+	stream := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 30 * sim.Millisecond,
 		App: "streaming", SampleRateHz: 205, Duration: paperdata.Window})
-	rp := compute(t, Scenario{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
+	rp := compute(t, Scenario{Protocol: mac.ProtoStatic, Nodes: 5, Cycle: 120 * sim.Millisecond,
 		App: "rpeak", Duration: paperdata.Window})
 	saving := 1 - (rp.RadioMJ()+rp.MCUMJ())/(stream.RadioMJ()+stream.MCUMJ())
 	if saving < 0.55 || saving > 0.75 {

@@ -160,9 +160,9 @@ func TestStreamingResetCounters(t *testing.T) {
 func TestStreamingConfigValidation(t *testing.T) {
 	h := newHarness(t)
 	cases := []StreamingConfig{
-		{Channels: 2, Signal: signal()},                                          // no rate
-		{SampleRateHz: 200, Channels: 2},                                         // no signal
-		{SampleRateHz: 200, Channels: 5, SamplesPerPacket: 12, Signal: signal()}, // 12 % 5 != 0
+		{Channels: 2, Signal: signal()},                    // no rate
+		{SampleRateHz: 200, Channels: 2},                   // no signal
+		{SampleRateHz: 200, Channels: 5, Signal: signal()}, // 12 % 5 != 0
 	}
 	for i, cfg := range cases {
 		func() {

@@ -17,12 +17,12 @@ import (
 type HRVConfig struct {
 	// SampleRateHz is fixed by the detector; 0 selects 200 Hz.
 	SampleRateHz float64
-	// WindowBeats is how many RR intervals one summary covers; 0
-	// selects 16.
-	WindowBeats int
 	// Signal drives the electrode (HRV needs one lead).
 	Signal *ecg.Generator
 }
+
+// hrvWindowBeats is how many RR intervals one summary covers.
+const hrvWindowBeats = 16
 
 // HRV is the on-node HRV analysis application.
 type HRV struct {
@@ -52,12 +52,6 @@ func NewHRV(env Env, cfg HRVConfig) *HRV {
 	}
 	if cfg.SampleRateHz <= 0 {
 		panic("app: hrv sample rate must be positive")
-	}
-	if cfg.WindowBeats == 0 {
-		cfg.WindowBeats = 16
-	}
-	if cfg.WindowBeats < 2 || cfg.WindowBeats > 255 {
-		panic("app: hrv window must hold 2..255 beats")
 	}
 	if cfg.Signal == nil {
 		panic("app: hrv needs a signal source")
@@ -151,7 +145,7 @@ func (h *HRV) detect(sample *codec.Sample) {
 		h.rrs = append(h.rrs, rr)
 	}
 	h.lastBeat = beatAt
-	if len(h.rrs) < h.cfg.WindowBeats {
+	if len(h.rrs) < hrvWindowBeats {
 		return
 	}
 	it := h.summaries.get()

@@ -69,7 +69,6 @@ func TestHRVTracksJitter(t *testing.T) {
 func TestHRVValidation(t *testing.T) {
 	h := newHarness(t)
 	cases := []HRVConfig{
-		{Signal: signal(), WindowBeats: 1},    // window too small
 		{Signal: signal(), SampleRateHz: -10}, // bad rate
 		{},                                    // no signal
 	}

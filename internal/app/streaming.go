@@ -14,12 +14,13 @@ type StreamingConfig struct {
 	SampleRateHz float64
 	// Channels is the number of ECG channels streamed (the paper: 2).
 	Channels int
-	// SamplesPerPacket is the number of 12-bit samples packed into one
-	// payload; 0 selects 12 (= the paper's 18-byte payload).
-	SamplesPerPacket int
 	// Signal drives the electrodes.
 	Signal *ecg.Generator
 }
+
+// samplesPerPacket is the number of 12-bit samples packed into one
+// payload: the paper's 18-byte payload.
+const samplesPerPacket = 12
 
 // Streaming is the ECG streaming application: every acquisition buffers
 // one sample per channel; once a payload's worth has accumulated it is
@@ -46,12 +47,9 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 2
 	}
-	if cfg.SamplesPerPacket <= 0 {
-		cfg.SamplesPerPacket = 12
-	}
-	if cfg.SamplesPerPacket%cfg.Channels != 0 {
+	if samplesPerPacket%cfg.Channels != 0 {
 		panic(fmt.Sprintf("app: %d samples/packet not divisible by %d channels",
-			cfg.SamplesPerPacket, cfg.Channels))
+			samplesPerPacket, cfg.Channels))
 	}
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
@@ -130,13 +128,12 @@ func (s *Streaming) onAcquisition(i int64, samples []codec.Sample) {
 // payload's worth has accumulated, defers the packet assembly.
 func (s *Streaming) buffer(samples *[]codec.Sample) {
 	s.buf = append(s.buf, *samples...)
-	n := s.cfg.SamplesPerPacket
-	if len(s.buf) < n {
+	if len(s.buf) < samplesPerPacket {
 		return
 	}
 	it := s.batches.get()
-	it.val = append(it.val[:0], s.buf[:n]...)
-	s.buf = s.buf[:copy(s.buf, s.buf[n:])]
+	it.val = append(it.val[:0], s.buf[:samplesPerPacket]...)
+	s.buf = s.buf[:copy(s.buf, s.buf[samplesPerPacket:])]
 	// Packet assembly is a deferred task (header + packing).
 	if !s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, it.call) {
 		s.batches.drop(it)

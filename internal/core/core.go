@@ -1,6 +1,6 @@
 // Package core is the simulation framework's public façade: it assembles
 // a complete Body Area Network — base station plus sensor nodes running a
-// chosen application over a chosen TDMA variant — runs it for a warm-up
+// chosen application over a chosen MAC protocol — runs it for a warm-up
 // (join transient) and a measurement window, and reports per-node energy
 // split by component and power state, the paper's four loss categories,
 // and the protocol statistics.
@@ -51,7 +51,9 @@ const (
 
 // Config describes one BAN scenario.
 type Config struct {
-	// Variant selects static or dynamic TDMA.
+	// Variant is the historical static-or-dynamic TDMA selector, kept
+	// as an input only: Validate folds it into an empty Protocol, and
+	// nothing past Validate reads it.
 	Variant mac.Variant
 	// Protocol selects the MAC protocol by registry name ("static",
 	// "dynamic", "csma", "lpl"). Empty derives it from Variant, so
@@ -242,7 +244,8 @@ func (c *Config) Validate() error {
 			c.SampleRateHz = 128
 		}
 	default:
-		return fmt.Errorf("core: unknown app %q", c.App)
+		return fmt.Errorf("core: unknown app %q (want %s, %s, %s or %s)",
+			c.App, AppStreaming, AppRpeak, AppHRV, AppEEG)
 	}
 	if approx.Unset(c.HeartRateBPM) {
 		c.HeartRateBPM = 75
@@ -450,11 +453,12 @@ func Run(cfg Config) (Results, error) {
 	ch := channel.New(k)
 	tracer := metrics.NewRecorder(cfg.TraceLimit)
 
-	baseOpts := []node.BaseOption{node.WithBaseProtocol(cfg.Protocol, cfg.MACParams)}
-	if cfg.SlotReclaimCycles > 0 {
-		baseOpts = append(baseOpts, node.WithReclaimAfter(cfg.SlotReclaimCycles))
-	}
-	base := node.NewBase(k, ch, tracer, cfg.Variant, cfg.Cycle, 0, baseOpts...)
+	base := node.NewBase(k, ch, tracer, "bs", mac.BSConfig{
+		Protocol:     cfg.Protocol,
+		Params:       cfg.MACParams,
+		StaticCycle:  cfg.Cycle,
+		ReclaimAfter: cfg.SlotReclaimCycles,
+	})
 
 	signal := ecg.NewGenerator(ecg.Params{
 		HeartRateBPM: cfg.HeartRateBPM,
@@ -468,18 +472,24 @@ func Run(cfg Config) (Results, error) {
 	sensors := make([]*node.Sensor, cfg.Nodes)
 	apps := make([]app.App, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		opts := []node.Option{node.WithProtocol(cfg.Protocol, cfg.MACParams)}
+		sc := node.SensorConfig{
+			MAC: mac.NodeConfig{
+				Protocol: cfg.Protocol,
+				Params:   cfg.MACParams,
+				NodeID:   uint8(i + 1),
+				Profile:  prof,
+			},
+			Battery:   cfg.Battery,
+			BrownoutV: cfg.BrownoutV,
+			Degrade:   cfg.Degrade,
+		}
 		if cfg.ClockDriftPPM > 0 {
-			drift := cfg.ClockDriftPPM
+			sc.MAC.ClockDriftPPM = cfg.ClockDriftPPM
 			if k.Rand().Intn(2) == 0 {
-				drift = -drift
+				sc.MAC.ClockDriftPPM = -cfg.ClockDriftPPM
 			}
-			opts = append(opts, node.WithClockDrift(drift))
 		}
-		if cfg.Battery != nil {
-			opts = append(opts, node.WithBattery(*cfg.Battery, cfg.BrownoutV, cfg.Degrade))
-		}
-		s := node.NewSensor(k, ch, tracer, uint8(i+1), prof, cfg.Variant, opts...)
+		s := node.NewSensor(k, ch, tracer, sc)
 		switch cfg.App {
 		case AppStreaming:
 			s.AttachApp(func(env app.Env) app.App {
@@ -488,7 +498,7 @@ func Run(cfg Config) (Results, error) {
 					Channels:     2,
 					Signal:       signal,
 				})
-			}, tracer)
+			})
 		case AppRpeak:
 			s.AttachApp(func(env app.Env) app.App {
 				return app.NewRpeak(env, app.RpeakConfig{
@@ -496,14 +506,14 @@ func Run(cfg Config) (Results, error) {
 					Channels:     2,
 					Signal:       signal,
 				})
-			}, tracer)
+			})
 		case AppHRV:
 			s.AttachApp(func(env app.Env) app.App {
 				return app.NewHRV(env, app.HRVConfig{
 					SampleRateHz: cfg.SampleRateHz,
 					Signal:       signal,
 				})
-			}, tracer)
+			})
 		case AppEEG:
 			s.AttachApp(func(env app.Env) app.App {
 				return app.NewEEGPower(env, app.EEGPowerConfig{
@@ -511,7 +521,7 @@ func Run(cfg Config) (Results, error) {
 					SampleRateHz: cfg.SampleRateHz,
 					Signal:       eeg,
 				})
-			}, tracer)
+			})
 		}
 		sensors[i] = s
 		apps[i] = s.App

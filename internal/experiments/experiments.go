@@ -61,21 +61,21 @@ func (o Options) seed() int64 {
 
 // tableSpec binds a published table to its scenario shape.
 type tableSpec struct {
-	data    paperdata.Table
-	variant mac.Variant
-	app     core.AppKind
+	data  paperdata.Table
+	proto mac.Protocol
+	app   core.AppKind
 }
 
 func specFor(id string) (tableSpec, error) {
 	switch id {
 	case "table1":
-		return tableSpec{paperdata.Table1(), mac.Static, core.AppStreaming}, nil
+		return tableSpec{paperdata.Table1(), mac.ProtoStatic, core.AppStreaming}, nil
 	case "table2":
-		return tableSpec{paperdata.Table2(), mac.Dynamic, core.AppStreaming}, nil
+		return tableSpec{paperdata.Table2(), mac.ProtoDynamic, core.AppStreaming}, nil
 	case "table3":
-		return tableSpec{paperdata.Table3(), mac.Static, core.AppRpeak}, nil
+		return tableSpec{paperdata.Table3(), mac.ProtoStatic, core.AppRpeak}, nil
 	case "table4":
-		return tableSpec{paperdata.Table4(), mac.Dynamic, core.AppRpeak}, nil
+		return tableSpec{paperdata.Table4(), mac.ProtoDynamic, core.AppRpeak}, nil
 	default:
 		return tableSpec{}, fmt.Errorf("experiments: unknown table %q", id)
 	}
@@ -87,14 +87,14 @@ func TableIDs() []string { return []string{"table1", "table2", "table3", "table4
 // rowConfig shapes one sweep point's scenario.
 func rowConfig(spec tableSpec, row paperdata.Row, o Options) core.Config {
 	cfg := core.Config{
-		Variant:      spec.variant,
+		Protocol:     spec.proto,
 		Nodes:        row.Nodes,
 		App:          spec.app,
 		SampleRateHz: row.SampleRateHz,
 		Duration:     o.window(),
 		Seed:         o.seed(),
 	}
-	if spec.variant == mac.Static {
+	if spec.proto == mac.ProtoStatic {
 		cfg.Cycle = row.Cycle
 	}
 	return cfg
@@ -159,7 +159,7 @@ func completeGrid(grid []gridPoint, o Options) ([]core.NodeResult, error) {
 // analyticRow evaluates the closed-form model at one sweep point.
 func analyticRow(spec tableSpec, row paperdata.Row, o Options) (analytic.Estimate, error) {
 	return analytic.Compute(analytic.Scenario{
-		Variant:      spec.variant,
+		Protocol:     spec.proto,
 		Nodes:        row.Nodes,
 		Cycle:        row.Cycle,
 		App:          string(spec.app),

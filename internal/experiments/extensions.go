@@ -41,12 +41,12 @@ func Extensions(o Options) (ExtensionResults, error) {
 	}
 
 	var points []runner.Point
-	points = add(points, "streaming-hi", core.Config{Variant: mac.Static, Nodes: 5,
+	points = add(points, "streaming-hi", core.Config{Protocol: mac.ProtoStatic, Nodes: 5,
 		Cycle: 30 * sim.Millisecond, App: core.AppStreaming, SampleRateHz: 205})
-	points = add(points, "streaming-lo", core.Config{Variant: mac.Static, Nodes: 5,
+	points = add(points, "streaming-lo", core.Config{Protocol: mac.ProtoStatic, Nodes: 5,
 		Cycle: 120 * sim.Millisecond, App: core.AppStreaming, SampleRateHz: 55})
 
-	driftCfg := core.Config{Variant: mac.Static, Nodes: 1, Cycle: 120 * sim.Millisecond,
+	driftCfg := core.Config{Protocol: mac.ProtoStatic, Nodes: 1, Cycle: 120 * sim.Millisecond,
 		App: core.AppStreaming, SampleRateHz: 55}
 	driftCfg.ClockDriftPPM = 50
 	points = add(points, "drift-crystal", driftCfg)
@@ -58,13 +58,13 @@ func Extensions(o Options) (ExtensionResults, error) {
 		profiles[i] = platform.IMEC()
 		profiles[i].MCU = profiles[i].MCU.AtClock(hz)
 		points = add(points, fmt.Sprintf("clock-%gMHz", hz/1e6),
-			core.Config{Variant: mac.Static, Nodes: 1, Cycle: 120 * sim.Millisecond,
+			core.Config{Protocol: mac.ProtoStatic, Nodes: 1, Cycle: 120 * sim.Millisecond,
 				App: core.AppRpeak, Profile: &profiles[i]})
 	}
 
-	points = add(points, "ladder-rpeak", core.Config{Variant: mac.Static, Nodes: 5,
+	points = add(points, "ladder-rpeak", core.Config{Protocol: mac.ProtoStatic, Nodes: 5,
 		Cycle: 120 * sim.Millisecond, App: core.AppRpeak})
-	points = add(points, "ladder-hrv", core.Config{Variant: mac.Static, Nodes: 5,
+	points = add(points, "ladder-hrv", core.Config{Protocol: mac.ProtoStatic, Nodes: 5,
 		Cycle: 120 * sim.Millisecond, App: core.AppHRV})
 
 	results := runner.RunCtx(o.ctx(), points, runner.Options{Workers: o.Workers})

@@ -48,8 +48,8 @@ func TestAuditFrameStatsLaws(t *testing.T) {
 // clean, then cooks the slot index past the cycle — the deliberate
 // violation the audit must catch.
 func TestAuditSlotTrip(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 21)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 21)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -83,9 +83,9 @@ func TestAuditSlotTrip(t *testing.T) {
 // TestAuditSlotTableTrip joins two nodes, checks the base-station table
 // audits clean, then corrupts it into a double grant and a map mismatch.
 func TestAuditSlotTableTrip(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 22)
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 22)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -128,8 +128,8 @@ func TestAuditSlotTableTrip(t *testing.T) {
 // a reset taken while an ack window is open leaves the books balanced
 // even though the send landed in the previous epoch.
 func TestResetAccountingCarriesPendingAck(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 23)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 23)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()

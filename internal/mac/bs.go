@@ -16,22 +16,14 @@ import (
 
 // BSConfig parameterises the base-station MAC.
 type BSConfig struct {
-	Variant Variant
-	// Protocol selects the MAC from the registry; empty derives it from
-	// Variant ("static"/"dynamic").
+	// Protocol selects the MAC from the registry.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params Params
 	// Profile is normally platform.BaseStation().
 	Profile platform.Profile
-	// StaticCycle is the fixed TDMA cycle (static variant only).
+	// StaticCycle is the fixed beacon cycle (static TDMA and CSMA/CA).
 	StaticCycle sim.Time
-	// MaxSlots caps the network size; 0 selects the profile default for
-	// the variant.
-	MaxSlots int
-	// GrantRepeat is how many consecutive beacons repeat a static grant
-	// (the grant then expires to keep the steady-state beacon small).
-	GrantRepeat int
 	// Plan is the BAN's address assignment; the zero value selects
 	// packet.DefaultPlan().
 	Plan packet.AddressPlan
@@ -70,6 +62,10 @@ type RxRecord struct {
 	Payload []byte
 	At      sim.Time
 }
+
+// grantRepeat is how many consecutive beacons repeat a static grant
+// (the grant then expires to keep the steady-state beacon small).
+const grantRepeat = 2
 
 // grant is a static-TDMA slot grant still being advertised.
 type grant struct {
@@ -139,10 +135,10 @@ type bsCore struct {
 	inBeaconPrep bool
 }
 
-// newBSCore binds the shared base-station state; cfg.MaxSlots must
-// already hold the protocol's admission cap.
+// newBSCore binds the shared base-station state; maxSlots is the
+// protocol's admission cap.
 func newBSCore(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *metrics.Recorder, words tableWords) bsCore {
+	ledger *energy.Ledger, tracer *metrics.Recorder, words tableWords, maxSlots int) bsCore {
 	if cfg.Plan == (packet.AddressPlan{}) {
 		cfg.Plan = packet.DefaultPlan()
 	}
@@ -154,7 +150,7 @@ func newBSCore(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 		ledger:   ledger,
 		tracer:   tracer,
 		words:    words,
-		maxSlots: cfg.MaxSlots,
+		maxSlots: maxSlots,
 		nodeSlot: make(map[uint8]int),
 		slotNode: make(map[int]uint8),
 		silent:   make(map[uint8]int),
@@ -403,6 +399,11 @@ func (b *bsCore) AuditTable() []string {
 type BS struct {
 	bsCore
 
+	// dynamic selects the Figure 3 growing cycle and full-table beacons
+	// over the Figure 2 fixed cycle and expiring grants; only
+	// ProtoDynamic sets it (CSMA/CA keeps the static cycle).
+	dynamic bool
+
 	t0     sim.Time // air-start of the current beacon
 	cycle  sim.Time // current cycle length
 	seq    uint16
@@ -436,23 +437,24 @@ type BS struct {
 	beaconFlown   func()
 }
 
-// NewBS wires a base station over its radio and OS.
+// NewBS wires a TDMA base station over its radio and OS; the dynamic
+// variant when cfg.Protocol is ProtoDynamic, else the static one.
 func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
-	if cfg.MaxSlots <= 0 {
-		if cfg.Variant == Dynamic {
-			cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
-		} else {
-			cfg.MaxSlots = cfg.Profile.MAC.MaxStaticSlots
-		}
+	if cfg.Protocol == ProtoDynamic {
+		return newBS(k, cfg, sched, r, ledger, tracer, true, cfg.Profile.MAC.MaxDynamicSlots)
 	}
-	if cfg.GrantRepeat <= 0 {
-		cfg.GrantRepeat = 2
-	}
-	if cfg.Variant == Static && cfg.StaticCycle <= 0 {
+	return newBS(k, cfg, sched, r, ledger, tracer, false, cfg.Profile.MAC.MaxStaticSlots)
+}
+
+// newBS builds a beaconed base station with the given cycle policy and
+// admission cap.
+func newBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
+	ledger *energy.Ledger, tracer *metrics.Recorder, dynamic bool, maxSlots int) *BS {
+	if !dynamic && cfg.StaticCycle <= 0 {
 		panic("mac: static base station needs a cycle length")
 	}
-	bs := &BS{bsCore: newBSCore(k, cfg, sched, r, ledger, tracer, slotWords)}
+	bs := &BS{bsCore: newBSCore(k, cfg, sched, r, ledger, tracer, slotWords, maxSlots), dynamic: dynamic}
 	bs.bind()
 	bs.ackFlown = bs.listen
 	bs.beaconPrep = bs.prepareBeacon
@@ -481,7 +483,7 @@ func (bs *BS) AuditTable() []string {
 			v = append(v, fmt.Sprintf("slot %d names node %d but the node map points at slot %d",
 				s, id, back))
 		}
-		if bs.cfg.Variant == Dynamic && !bs.needCompact && s >= len(bs.slotNode) {
+		if bs.dynamic && !bs.needCompact && s >= len(bs.slotNode) {
 			v = append(v, fmt.Sprintf("dynamic slot %d outside the dense range 0..%d",
 				s, len(bs.slotNode)-1))
 		}
@@ -510,7 +512,7 @@ func (bs *BS) Start() {
 
 // currentCycle derives the cycle from the variant and the join state.
 func (bs *BS) currentCycle() sim.Time {
-	if bs.cfg.Variant == Static {
+	if !bs.dynamic {
 		return bs.cfg.StaticCycle
 	}
 	// Dynamic: SB+ES region plus one slot per joined node.
@@ -519,7 +521,7 @@ func (bs *BS) currentCycle() sim.Time {
 
 // slotDuration mirrors the node-side computation.
 func (bs *BS) slotDuration() sim.Time {
-	if bs.cfg.Variant == Dynamic {
+	if bs.dynamic {
 		return bs.cfg.Profile.MAC.DynamicSlotDuration
 	}
 	return bs.cycle / sim.Time(bs.cfg.Profile.MAC.MaxStaticSlots+1)
@@ -555,7 +557,7 @@ func (bs *BS) buildBeacon() {
 	p := &bs.cfg.Profile
 	if bs.reclaimSilent() {
 		bs.pruneGrants()
-		if bs.cfg.Variant == Dynamic {
+		if bs.dynamic {
 			bs.compactSlots()
 		}
 	}
@@ -651,7 +653,7 @@ func (bs *BS) compactSlots() {
 // dynamic TDMA, the active grants for static TDMA.
 func (bs *BS) beaconEntries() []packet.SlotEntry {
 	entries := bs.entryBuf[:0]
-	if bs.cfg.Variant == Dynamic {
+	if bs.dynamic {
 		for slot, node := range bs.slotNode {
 			entries = append(entries, packet.SlotEntry{NodeID: node, Slot: uint8(slot)})
 		}
@@ -702,7 +704,7 @@ func (bs *BS) handleRelease(rel packet.Release) {
 		// Compaction is deferred to the next beacon build: renumbering
 		// now would misattribute frames from survivors that still
 		// transmit in their old slot indices for the rest of this cycle.
-		if bs.cfg.Variant == Dynamic {
+		if bs.dynamic {
 			bs.needCompact = true
 		}
 	})
@@ -717,16 +719,16 @@ func (bs *BS) handleSSR(ssr packet.SSR) {
 		if !ok {
 			return
 		}
-		if added && bs.cfg.Variant == Dynamic {
+		if added && bs.dynamic {
 			bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindCycleGrow,
 				"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
 		}
 		bs.tracer.Recordf(bs.k.Now(), "bs", metrics.KindSlotGrant,
 			"node=%d slot=%d", ssr.NodeID, slot)
-		if bs.cfg.Variant == Static {
+		if !bs.dynamic {
 			bs.grants = append(bs.grants, grant{
 				entry: packet.SlotEntry{NodeID: ssr.NodeID, Slot: uint8(slot)},
-				left:  bs.cfg.GrantRepeat,
+				left:  grantRepeat,
 			})
 		}
 	})

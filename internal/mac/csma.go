@@ -392,22 +392,17 @@ func (m *CSMANode) AuditProtocol() []string {
 // static TDMA base station's beacon cadence, join handling and silence
 // reclaim, with data frames attributed by their sender-ID header instead
 // of slot timing (any member may transmit at any contention offset). A
-// zero StaticCycle selects DefaultCSMACycle; a zero MaxSlots admits
-// MaxDynamicSlots members (the contention period has no slot geometry to
-// limit it).
+// zero StaticCycle selects DefaultCSMACycle; it admits MaxDynamicSlots
+// members (the contention period has no slot geometry to limit it).
 func NewCSMABS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}
-	cfg.Variant = Static
 	if cfg.StaticCycle <= 0 {
 		cfg.StaticCycle = DefaultCSMACycle
 	}
-	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
-	}
-	bs := NewBS(k, cfg, sched, r, ledger, tracer)
+	bs := newBS(k, cfg, sched, r, ledger, tracer, false, cfg.Profile.MAC.MaxDynamicSlots)
 	bs.idHeader = true
 	return bs
 }

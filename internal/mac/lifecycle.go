@@ -26,17 +26,12 @@ const (
 
 // NodeConfig parameterises a node-side MAC instance.
 type NodeConfig struct {
-	Variant Variant
-	// Protocol selects the MAC from the registry; empty derives it from
-	// Variant ("static"/"dynamic"), preserving the historical knob.
+	// Protocol selects the MAC from the registry.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params  Params
 	NodeID  uint8
 	Profile platform.Profile
-	// TxQueueCap and MaxRetries default to the package constants when 0.
-	TxQueueCap int
-	MaxRetries int
 	// Plan is the BAN's address assignment; the zero value selects
 	// packet.DefaultPlan(). Co-located networks use distinct plans.
 	Plan packet.AddressPlan
@@ -153,16 +148,10 @@ type nodeCore struct {
 	joinIdleTime  sim.Time
 }
 
-// newNodeCore applies the NodeConfig defaults and binds the core to its
-// stack and to the protocol's access policy.
+// newNodeCore applies the default address plan and binds the core to
+// its stack and to the protocol's access policy.
 func newNodeCore(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder, policy accessPolicy) nodeCore {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
 	if cfg.Plan == (packet.AddressPlan{}) {
 		cfg.Plan = packet.DefaultPlan()
 	}
@@ -359,7 +348,7 @@ func (c *nodeCore) stretchSkip(format string) bool {
 
 // Send implements Mac.
 func (c *nodeCore) Send(payload []byte) bool {
-	if len(c.queue) >= c.cfg.TxQueueCap {
+	if len(c.queue) >= txQueueCap {
 		c.stats.QueueDrops++
 		return false
 	}
@@ -489,7 +478,7 @@ func (c *nodeCore) onAckTimeout() {
 	if c.inFlight != nil {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(c.dataHeader+len(c.inFlight.payload))
 		c.ledger.AttributeLoss(energy.LossCollision, c.radio.TxPowerW()*txDur.Seconds())
-		if c.inFlight.retries < c.cfg.MaxRetries {
+		if c.inFlight.retries < maxRetries {
 			// Requeue at the front; the protocol's own checks gate the
 			// next attempt.
 			c.inFlight.retries++

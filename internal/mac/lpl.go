@@ -510,18 +510,14 @@ type LPLBS struct {
 }
 
 // NewLPLBS wires an LPL base station. A zero CheckInterval selects
-// DefaultLPLCheckInterval; a zero MaxSlots admits MaxDynamicSlots
-// members.
+// DefaultLPLCheckInterval; it admits MaxDynamicSlots members.
 func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *LPLBS {
 	if err := validateLPLParams(cfg.Params); err != nil {
 		panic(err)
 	}
-	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
-	}
 	bs := &LPLBS{
-		bsCore:        newBSCore(k, cfg, sched, r, ledger, tracer, memberWords),
+		bsCore:        newBSCore(k, cfg, sched, r, ledger, tracer, memberWords, cfg.Profile.MAC.MaxDynamicSlots),
 		checkInterval: cfg.Params.CheckInterval,
 	}
 	if bs.checkInterval <= 0 {

@@ -59,7 +59,7 @@ type Stats struct {
 	DataAcked     uint64
 	AckMissed     uint64
 	Retries       uint64
-	// DataDropped counts frames discarded after MaxRetries retransmission
+	// DataDropped counts frames discarded after maxRetries retransmission
 	// attempts all went unacknowledged.
 	DataDropped uint64
 	// Abandoned counts transmitted frames whose acknowledgement window
@@ -114,11 +114,11 @@ func (s Stats) AvgLatency() sim.Time {
 	return s.LatencySum / sim.Time(s.LatencyCount)
 }
 
-// DefaultTxQueueCap bounds the node's pending-payload queue.
-const DefaultTxQueueCap = 4
+// txQueueCap bounds the node's pending-payload queue.
+const txQueueCap = 4
 
-// DefaultMaxRetries bounds retransmissions of an unacknowledged frame.
-const DefaultMaxRetries = 2
+// maxRetries bounds retransmissions of an unacknowledged frame.
+const maxRetries = 2
 
 // missedBeaconRejoinThreshold forces a rejoin after this many
 // consecutive silent beacon windows.

@@ -109,11 +109,12 @@ func renderLifecycle(t *testing.T, w *strings.Builder, cfg core.Config) {
 	k := sim.NewKernel(cfg.Seed)
 	ch := channel.New(k)
 	rec := metrics.NewRecorder(cfg.TraceLimit)
-	baseOpts := []node.BaseOption{node.WithBaseProtocol(cfg.Protocol, cfg.MACParams)}
-	if cfg.SlotReclaimCycles > 0 {
-		baseOpts = append(baseOpts, node.WithReclaimAfter(cfg.SlotReclaimCycles))
-	}
-	base := node.NewBase(k, ch, rec, cfg.Variant, cfg.Cycle, 0, baseOpts...)
+	base := node.NewBase(k, ch, rec, "bs", mac.BSConfig{
+		Protocol:     cfg.Protocol,
+		Params:       cfg.MACParams,
+		StaticCycle:  cfg.Cycle,
+		ReclaimAfter: cfg.SlotReclaimCycles,
+	})
 	signal := ecg.NewGenerator(ecg.Params{
 		HeartRateBPM: cfg.HeartRateBPM,
 		JitterFrac:   0.02,
@@ -123,18 +124,24 @@ func renderLifecycle(t *testing.T, w *strings.Builder, cfg core.Config) {
 	})
 	sensors := make([]*node.Sensor, cfg.Nodes)
 	for i := range sensors {
-		opts := []node.Option{node.WithProtocol(cfg.Protocol, cfg.MACParams)}
-		if cfg.Battery != nil {
-			opts = append(opts, node.WithBattery(*cfg.Battery, cfg.BrownoutV, cfg.Degrade))
-		}
-		s := node.NewSensor(k, ch, rec, uint8(i+1), platform.IMEC(), cfg.Variant, opts...)
+		s := node.NewSensor(k, ch, rec, node.SensorConfig{
+			MAC: mac.NodeConfig{
+				Protocol: cfg.Protocol,
+				Params:   cfg.MACParams,
+				NodeID:   uint8(i + 1),
+				Profile:  platform.IMEC(),
+			},
+			Battery:   cfg.Battery,
+			BrownoutV: cfg.BrownoutV,
+			Degrade:   cfg.Degrade,
+		})
 		s.AttachApp(func(env app.Env) app.App {
 			return app.NewRpeak(env, app.RpeakConfig{
 				SampleRateHz: cfg.SampleRateHz,
 				Channels:     2,
 				Signal:       signal,
 			})
-		}, rec)
+		})
 		sensors[i] = s
 	}
 	var inj *fault.Injector

@@ -16,6 +16,9 @@ import (
 // data (and the voluntary release) in the node's own slot.
 type NodeMac struct {
 	beaconCore
+	// dynamic selects the Figure 3 run-time-growing cycle over the
+	// Figure 2 fixed slot count (Protocol ProtoDynamic vs ProtoStatic).
+	dynamic      bool
 	ssrScheduled bool
 
 	// Steady-state steps bound once at construction.
@@ -27,14 +30,14 @@ type NodeMac struct {
 // NewNodeMac wires a node MAC over its radio and OS.
 func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
-	m := &NodeMac{}
+	m := &NodeMac{dynamic: cfg.Protocol == ProtoDynamic}
 	m.beaconCore = beaconCore{nodeCore: newNodeCore(k, cfg, sched, r, ledger, tracer, m), access: m, slot: -1}
 	m.bind()
 	m.slotStep = m.slotBoundary
 	m.dataLoaded = m.onDataLoaded
 	m.dataFlown = m.onDataFlown
 	p := &cfg.Profile
-	if cfg.Variant == Dynamic {
+	if m.dynamic {
 		m.guard = p.MAC.DynamicGuard
 		m.parseCycles = p.Cost.BeaconParseDynamic
 		m.beaconMax = p.MAC.BeaconBasePayloadBytes + p.MAC.SlotEntryBytes*p.MAC.MaxDynamicSlots
@@ -78,7 +81,7 @@ func (m *NodeMac) slotBoundary(_ *sim.Kernel, arg uint64) {
 
 // slotDuration reports the data-slot length under the current cycle.
 func (m *NodeMac) slotDuration() sim.Time {
-	if m.cfg.Variant == Dynamic {
+	if m.dynamic {
 		return m.cfg.Profile.MAC.DynamicSlotDuration
 	}
 	return m.cycle / sim.Time(m.cfg.Profile.MAC.MaxStaticSlots+1)
@@ -108,7 +111,7 @@ func (m *NodeMac) request() {
 	hi := windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
 	// Static: anywhere in the receive region after the SB slot.
 	lo := m.slotDuration()
-	if m.cfg.Variant == Dynamic {
+	if m.dynamic {
 		// Random offset within the empty slot (ES), after the beacon.
 		lo = 2 * sim.Millisecond
 		if es := p.MAC.DynamicSlotDuration - ssrAir - p.Radio.TxSettle - 500*sim.Microsecond; es < hi {

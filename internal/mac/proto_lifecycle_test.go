@@ -201,7 +201,7 @@ func TestCSMALossyChannelRecovery(t *testing.T) {
 
 	// Outbound blackout: beacons still arrive, so the node keeps
 	// contending, but its data never reaches the base station — each
-	// frame walks the full retry ladder to a drop (MaxRetries misses).
+	// frame walks the full retry ladder to a drop (maxRetries misses).
 	r.k.Schedule(0, func(*sim.Kernel) { r.ch.SetBlackout("node1", "bs", true) })
 	r.k.RunUntil(800 * sim.Millisecond)
 	r.k.Schedule(0, func(*sim.Kernel) { r.ch.SetBlackout("node1", "bs", false) })

@@ -33,8 +33,9 @@ const (
 	ProtoLPL Protocol = "lpl"
 )
 
-// Protocol maps a TDMA variant onto its protocol name, for callers that
-// still configure the MAC through the historical Variant knob.
+// Protocol maps a TDMA variant onto its protocol name. core.Config
+// folds its historical Variant input into Protocol with it; nothing
+// below core reads a Variant.
 func (v Variant) Protocol() Protocol {
 	if v == Dynamic {
 		return ProtoDynamic
@@ -186,14 +187,9 @@ func Protocols() []Protocol {
 	return out
 }
 
-// descriptorFor resolves the protocol a config selects — the explicit
-// Protocol field when set, else the one derived from the TDMA Variant —
-// and panics on an unregistered name.
-func descriptorFor(explicit Protocol, v Variant) Descriptor {
-	name := explicit
-	if name == "" {
-		name = v.Protocol()
-	}
+// descriptorFor resolves a config's protocol and panics on an
+// unregistered name.
+func descriptorFor(name Protocol) Descriptor {
 	d, ok := Lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("mac: unknown protocol %q", name))
@@ -204,14 +200,14 @@ func descriptorFor(explicit Protocol, v Variant) Descriptor {
 // NewNode builds the node-side MAC for cfg's protocol via the registry.
 func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-	return descriptorFor(cfg.Protocol, cfg.Variant).NewNode(k, cfg, sched, r, ledger, tracer)
+	return descriptorFor(cfg.Protocol).NewNode(k, cfg, sched, r, ledger, tracer)
 }
 
 // NewBaseMAC builds the base-station MAC for cfg's protocol via the
 // registry.
 func NewBaseMAC(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-	return descriptorFor(cfg.Protocol, cfg.Variant).NewBS(k, cfg, sched, r, ledger, tracer)
+	return descriptorFor(cfg.Protocol).NewBS(k, cfg, sched, r, ledger, tracer)
 }
 
 // validateTDMAParams rejects any contention tuning on a TDMA protocol:
@@ -267,20 +263,19 @@ func validateLPLParams(p Params) error {
 }
 
 func init() {
-	for _, v := range []Variant{Static, Dynamic} {
-		v := v
+	// Both TDMA variants share one implementation, which reads
+	// static-vs-dynamic from cfg.Protocol.
+	for _, name := range []Protocol{ProtoStatic, ProtoDynamic} {
 		register(Descriptor{
-			Name:     v.Protocol(),
+			Name:     name,
 			Caps:     Capabilities{Slotted: true, Beacons: true},
 			Validate: validateTDMAParams,
 			NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 				ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-				cfg.Variant = v
 				return NewNodeMac(k, cfg, sched, r, ledger, tracer)
 			},
 			NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 				ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-				cfg.Variant = v
 				return NewBS(k, cfg, sched, r, ledger, tracer)
 			},
 		})

@@ -11,8 +11,8 @@
 // contract the parallel runner relies on: equal configs produce
 // deep-equal snapshots at any -workers count.
 //
-// The legacy trace package is a compatibility shim over this one, so
-// every existing tracer call site feeds the same layer.
+// Every component records into a *Recorder directly; this package is the
+// simulator's only event log.
 package metrics
 
 import (

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -329,5 +332,42 @@ func TestSnapshotCSVShape(t *testing.T) {
 	}
 	if !strings.Contains(csv, "hist,node1,,tx-to-ack,") {
 		t.Fatalf("hist row missing:\n%s", csv)
+	}
+}
+
+// TestSnapshotWriteFile: the artefact writer picks the format from the
+// path suffix and writes exactly the CSV() / JSON() bytes.
+func TestSnapshotWriteFile(t *testing.T) {
+	r := NewRecorder(0)
+	r.Record(0, "node1", KindDataTx, "")
+	r.Observe("node1", HistTxToAck, 400*sim.Microsecond)
+	s := Assemble(r, nil, nil, nil, 1)
+	wantJSON, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		want []byte
+	}{
+		{"m.csv", []byte(s.CSV())},
+		{"m.json", wantJSON},
+		{"m", wantJSON},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := s.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("%s: wrote %q, want %q", c.name, got, c.want)
+		}
+	}
+	if err := s.WriteFile(filepath.Join(dir, "missing", "m.csv")); err == nil {
+		t.Fatalf("write into a missing directory succeeded")
 	}
 }

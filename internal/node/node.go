@@ -15,7 +15,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/mcu"
 	"repro/internal/metrics"
-	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -50,87 +49,41 @@ type Sensor struct {
 	onBrownout func()
 }
 
-// sensorOpts collects the optional knobs of a sensor build.
-type sensorOpts struct {
-	mac       mac.NodeConfig
-	name      string
-	battery   *battery.Battery
-	brownoutV float64
-	degrade   *battery.DegradePolicy
+// SensorConfig describes one sensor build.
+type SensorConfig struct {
+	// MAC configures the node-side MAC; its NodeID and Profile are also
+	// the node's ID and hardware profile.
+	MAC mac.NodeConfig
+	// Name is the node's medium identifier; empty selects "node<id>".
+	// Several BANs sharing one channel need distinct names.
+	Name string
+	// Battery, when non-nil, powers the node from its own instance of
+	// this cell: the energy ledger is debited into a live coulomb
+	// counter as the run progresses, the node browns out (crashes for
+	// good) when the terminal voltage falls below BrownoutV (0 = the
+	// cell's default cutoff), and Degrade — which may be nil — degrades
+	// the node gracefully on the way down.
+	Battery   *battery.Battery
+	BrownoutV float64
+	Degrade   *battery.DegradePolicy
 }
 
-// Option customises a sensor build.
-type Option func(*sensorOpts)
-
-// WithClockDrift gives the node's oscillator a frequency error in parts
-// per million (see mac.NodeConfig.ClockDriftPPM).
-func WithClockDrift(ppm float64) Option {
-	return func(o *sensorOpts) { o.mac.ClockDriftPPM = ppm }
-}
-
-// WithTxQueueCap overrides the MAC transmit queue depth.
-func WithTxQueueCap(n int) Option {
-	return func(o *sensorOpts) { o.mac.TxQueueCap = n }
-}
-
-// WithProtocol selects the node's MAC protocol by registry name and
-// passes its tuning parameters, overriding the TDMA variant argument.
-func WithProtocol(proto mac.Protocol, params mac.Params) Option {
-	return func(o *sensorOpts) {
-		o.mac.Protocol = proto
-		o.mac.Params = params
-	}
-}
-
-// WithAddressPlan binds the node to a specific BAN address plan, for
-// multi-network coexistence studies.
-func WithAddressPlan(p packet.AddressPlan) Option {
-	return func(o *sensorOpts) { o.mac.Plan = p }
-}
-
-// WithName overrides the node's medium identifier (needed when several
-// BANs share one channel and the default "node<id>" names would clash).
-func WithName(name string) Option {
-	return func(o *sensorOpts) { o.name = name }
-}
-
-// WithBattery powers the node from its own instance of cell: the energy
-// ledger is debited into a live coulomb counter as the run progresses,
-// the node browns out (crashes for good) when the terminal voltage
-// falls below brownoutV (0 = the cell's default cutoff), and policy —
-// which may be nil — degrades the node gracefully on the way down.
-func WithBattery(cell battery.Battery, brownoutV float64, policy *battery.DegradePolicy) Option {
-	return func(o *sensorOpts) {
-		c := cell
-		o.battery = &c
-		o.brownoutV = brownoutV
-		o.degrade = policy
-	}
-}
-
-// NewSensor builds the hardware/OS/MAC stack for node id on the shared
+// NewSensor builds the hardware/OS/MAC stack for cfg on the shared
 // medium. Attach an application with AttachApp before Start.
-func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
-	id uint8, prof platform.Profile, variant mac.Variant, opts ...Option) *Sensor {
-	o := sensorOpts{
-		name: fmt.Sprintf("node%d", id),
-		mac: mac.NodeConfig{
-			Variant: variant,
-			NodeID:  id,
-			Profile: prof,
-		},
-	}
-	for _, opt := range opts {
-		opt(&o)
+func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder, cfg SensorConfig) *Sensor {
+	id, prof := cfg.MAC.NodeID, cfg.MAC.Profile
+	name := cfg.Name
+	if name == "" {
+		name = fmt.Sprintf("node%d", id)
 	}
 	ledger := energy.NewLedger()
 	m := mcu.New(k, prof.MCU, ledger)
 	sched := tinyos.NewSched(k, m, 0)
-	r := radio.New(k, o.name, prof.Radio, ch, sched, ledger, tracer)
+	r := radio.New(k, name, prof.Radio, ch, sched, ledger, tracer)
 	fe := asic.New(k, prof.ASIC, ledger)
-	nm := mac.NewNode(k, o.mac, sched, r, ledger, tracer)
+	nm := mac.NewNode(k, cfg.MAC, sched, r, ledger, tracer)
 	s := &Sensor{
-		Name:     o.name,
+		Name:     name,
 		ID:       id,
 		Profile:  prof,
 		Ledger:   ledger,
@@ -143,30 +96,26 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 		k:        k,
 		tracer:   tracer,
 	}
-	if o.battery != nil {
-		s.Bat = battery.NewState(*o.battery, o.brownoutV, o.degrade, k.Now())
+	if cfg.Battery != nil {
+		s.Bat = battery.NewState(*cfg.Battery, cfg.BrownoutV, cfg.Degrade, k.Now())
 	}
 	return s
 }
 
-// Env builds the application environment over this node's facilities.
-func (s *Sensor) Env(tracer *metrics.Recorder) app.Env {
-	return app.Env{
+// AttachApp installs the application the factory builds over this
+// node's facilities.
+func (s *Sensor) AttachApp(build func(env app.Env) app.App) {
+	if s.App != nil {
+		panic("node: application already attached")
+	}
+	s.App = build(app.Env{
 		Sched:    s.Sched,
 		Frontend: s.Frontend,
 		Mac:      s.Mac,
 		Cost:     s.Profile.Cost,
-		Tracer:   tracer,
+		Tracer:   s.tracer,
 		NodeName: s.Name,
-	}
-}
-
-// AttachApp installs the application built by the factory.
-func (s *Sensor) AttachApp(build func(env app.Env) app.App, tracer *metrics.Recorder) {
-	if s.App != nil {
-		panic("node: application already attached")
-	}
-	s.App = build(s.Env(tracer))
+	})
 }
 
 // OnBrownout registers a callback fired once when the node's battery
@@ -339,56 +288,20 @@ type Base struct {
 	BS     mac.BSMAC
 }
 
-// BaseOption customises a base-station build.
-type BaseOption func(*mac.BSConfig, *string)
-
-// WithBaseAddressPlan binds the base station to a specific BAN address
-// plan and medium name, for multi-network coexistence studies.
-func WithBaseAddressPlan(name string, p packet.AddressPlan) BaseOption {
-	return func(c *mac.BSConfig, n *string) {
-		c.Plan = p
-		*n = name
-	}
-}
-
-// WithReclaimAfter enables the base station's slot reclamation: a joined
-// node that stays silent for n consecutive beacon cycles loses its slot
-// (0 disables, the default).
-func WithReclaimAfter(n int) BaseOption {
-	return func(c *mac.BSConfig, _ *string) { c.ReclaimAfter = n }
-}
-
-// WithBaseProtocol selects the base station's MAC protocol by registry
-// name and passes its tuning parameters, overriding the variant argument.
-func WithBaseProtocol(proto mac.Protocol, params mac.Params) BaseOption {
-	return func(c *mac.BSConfig, _ *string) {
-		c.Protocol = proto
-		c.Params = params
-	}
-}
-
-// NewBase builds the base-station stack.
+// NewBase builds the base-station stack under the medium name name
+// ("bs" for a single BAN). It runs platform.BaseStation(), which
+// replaces cfg.Profile.
 func NewBase(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
-	variant mac.Variant, staticCycle sim.Time, maxSlots int, opts ...BaseOption) *Base {
-	prof := platform.BaseStation()
+	name string, cfg mac.BSConfig) *Base {
+	cfg.Profile = platform.BaseStation()
 	ledger := energy.NewLedger()
-	m := mcu.New(k, prof.MCU, ledger)
+	m := mcu.New(k, cfg.Profile.MCU, ledger)
 	sched := tinyos.NewSched(k, m, 0)
-	cfg := mac.BSConfig{
-		Variant:     variant,
-		Profile:     prof,
-		StaticCycle: staticCycle,
-		MaxSlots:    maxSlots,
-	}
-	name := "bs"
-	for _, opt := range opts {
-		opt(&cfg, &name)
-	}
-	r := radio.New(k, name, prof.Radio, ch, sched, ledger, tracer)
+	r := radio.New(k, name, cfg.Profile.Radio, ch, sched, ledger, tracer)
 	bs := mac.NewBaseMAC(k, cfg, sched, r, ledger, tracer)
 	return &Base{
 		Name:    name,
-		Profile: prof,
+		Profile: cfg.Profile,
 		Ledger:  ledger,
 		MCU:     m,
 		Sched:   sched,

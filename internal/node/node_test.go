@@ -27,19 +27,25 @@ func newRig(t *testing.T) *rig {
 	tracer := metrics.NewRecorder(0)
 	return &rig{
 		k: k, ch: ch, tracer: tracer,
-		base: NewBase(k, ch, tracer, mac.Static, 30*sim.Millisecond, 0),
+		base: NewBase(k, ch, tracer, "bs", mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: 30 * sim.Millisecond}),
 	}
+}
+
+// staticSensor is the minimal sensor build: static TDMA on the IMEC
+// profile.
+func staticSensor(id uint8) SensorConfig {
+	return SensorConfig{MAC: mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: platform.IMEC()}}
 }
 
 func (r *rig) sensor(t *testing.T, id uint8) *Sensor {
 	t.Helper()
-	s := NewSensor(r.k, r.ch, r.tracer, id, platform.IMEC(), mac.Static)
+	s := NewSensor(r.k, r.ch, r.tracer, staticSensor(id))
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: 1})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewStreaming(env, app.StreamingConfig{
 			SampleRateHz: 205, Channels: 2, Signal: sig,
 		})
-	}, r.tracer)
+	})
 	return s
 }
 
@@ -107,7 +113,7 @@ func TestResetAccountingClearsEverything(t *testing.T) {
 
 func TestStartWithoutAppPanics(t *testing.T) {
 	r := newRig(t)
-	s := NewSensor(r.k, r.ch, r.tracer, 1, platform.IMEC(), mac.Static)
+	s := NewSensor(r.k, r.ch, r.tracer, staticSensor(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("Start without app did not panic")
@@ -128,25 +134,29 @@ func TestDoubleAttachPanics(t *testing.T) {
 		return app.NewRpeak(env, app.RpeakConfig{
 			Signal: ecg.NewGenerator(ecg.Params{HeartRateBPM: 75}),
 		})
-	}, r.tracer)
+	})
 }
 
 func TestSensorOptions(t *testing.T) {
 	r := newRig(t)
 	plan := packet.PlanForNetwork(3)
-	s := NewSensor(r.k, r.ch, r.tracer, 7, platform.IMEC(), mac.Static,
-		WithClockDrift(250),
-		WithTxQueueCap(9),
-		WithAddressPlan(plan),
-		WithName("limb-node"))
-	if s.Name != "limb-node" || s.Radio.Name() != "limb-node" {
-		t.Fatalf("name option not applied: %q", s.Name)
+	cfg := staticSensor(7)
+	cfg.MAC.ClockDriftPPM = 250
+	cfg.MAC.Plan = plan
+	cfg.Name = "limb-node"
+	s := NewSensor(r.k, r.ch, r.tracer, cfg)
+	if s.Name != "limb-node" || s.Radio.Name() != "limb-node" || s.ID != 7 {
+		t.Fatalf("config not applied: name %q id %d", s.Name, s.ID)
 	}
-	// The queue cap shows through Send: the 10th enqueue must be refused
-	// before anything drains (node not joined, nothing transmits).
-	for i := 0; i < 9; i++ {
+	if def := NewSensor(r.k, r.ch, r.tracer, staticSensor(8)); def.Name != "node8" {
+		t.Fatalf("default name = %q, want node8", def.Name)
+	}
+	// The MAC's fixed 4-deep queue shows through Send: the 5th enqueue
+	// must be refused before anything drains (node not joined, nothing
+	// transmits).
+	for i := 0; i < 4; i++ {
 		if !s.Mac.Send(make([]byte, 18)) {
-			t.Fatalf("send %d refused below the 9-deep cap", i)
+			t.Fatalf("send %d refused below the 4-deep cap", i)
 		}
 	}
 	if s.Mac.Send(make([]byte, 18)) {
@@ -159,10 +169,14 @@ func TestBaseOptionPlanAndName(t *testing.T) {
 	ch := channel.New(k)
 	tracer := metrics.NewRecorder(0)
 	plan := packet.PlanForNetwork(4)
-	b := NewBase(k, ch, tracer, mac.Static, 30*sim.Millisecond, 0,
-		WithBaseAddressPlan("bs4", plan))
+	b := NewBase(k, ch, tracer, "bs4", mac.BSConfig{
+		Protocol: mac.ProtoStatic, StaticCycle: 30 * sim.Millisecond, Plan: plan,
+	})
 	if b.Name != "bs4" || b.Radio.Name() != "bs4" {
-		t.Fatalf("base name option not applied: %q", b.Name)
+		t.Fatalf("base name not applied: %q", b.Name)
+	}
+	if b.Profile.Name != platform.BaseStation().Name {
+		t.Fatalf("base runs profile %q, want the base-station profile", b.Profile.Name)
 	}
 }
 

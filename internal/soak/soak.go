@@ -53,10 +53,9 @@ func Generate(seed int64) core.Config {
 	protos := mac.Protocols()
 	switch cfg.Protocol = protos[r.Intn(len(protos))]; cfg.Protocol {
 	case mac.ProtoStatic:
-		cfg.Variant = mac.Static
 		cfg.Cycle = sim.Time(20+r.Intn(21)) * sim.Millisecond
 	case mac.ProtoDynamic:
-		cfg.Variant = mac.Dynamic
+		// The cycle follows the membership; nothing to draw.
 	case mac.ProtoCSMA:
 		if r.Intn(2) == 0 {
 			minBE := 1 + r.Intn(3)

@@ -133,7 +133,7 @@ func TestShrinkConverges(t *testing.T) {
 // hand back a schedule core.Validate rejects.
 func TestShrinkKeepsReferencedNodes(t *testing.T) {
 	cfg := core.Config{
-		Variant:  mac.Dynamic,
+		Protocol: mac.ProtoDynamic,
 		Nodes:    3,
 		App:      core.AppRpeak,
 		Duration: sim.Second,
