@@ -57,12 +57,8 @@ func (e Estimate) MCUMJ() float64 { return e.MCUJ * 1e3 }
 
 // Compute evaluates the model.
 func Compute(s Scenario) (Estimate, error) {
-	var dynamic bool
-	switch s.Protocol {
-	case mac.ProtoStatic:
-	case mac.ProtoDynamic:
-		dynamic = true
-	default:
+	dynamic := s.Protocol == mac.ProtoDynamic
+	if !dynamic && s.Protocol != mac.ProtoStatic {
 		return Estimate{}, fmt.Errorf("analytic: the closed form covers static and dynamic TDMA, not %q", s.Protocol)
 	}
 	prof := platform.IMEC()
