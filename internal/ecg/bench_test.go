@@ -6,13 +6,25 @@ import (
 	"repro/internal/codec"
 )
 
-// BenchmarkSampleAt measures ECG synthesis, the per-acquisition cost of
-// every simulated sampling tick.
+// BenchmarkSampleAt measures ECG synthesis for a single consumer, the
+// per-acquisition cost of every simulated sampling tick when no other
+// node or channel shares the instant: every call misses the memo.
 func BenchmarkSampleAt(b *testing.B) {
 	b.ReportAllocs()
 	g := NewGenerator(Params{HeartRateBPM: 75, JitterFrac: 0.02, NoiseAmp: 0.02, Seed: 1})
 	for i := 0; i < b.N; i++ {
 		g.SampleAt(0, int64(i), 200)
+	}
+}
+
+// BenchmarkSampleAtShared measures ECG synthesis as a 5-node, 2-channel
+// body runs it: 10 calls per instant, one synthesis and nine memo hits.
+// One op is one call.
+func BenchmarkSampleAtShared(b *testing.B) {
+	b.ReportAllocs()
+	g := NewGenerator(Params{HeartRateBPM: 75, JitterFrac: 0.02, NoiseAmp: 0.02, Seed: 1})
+	for i := 0; i < b.N; i++ {
+		g.SampleAt(i%2, int64(i/10), 200)
 	}
 }
 

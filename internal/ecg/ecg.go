@@ -57,9 +57,32 @@ type Params struct {
 // Generator produces a deterministic synthetic ECG: the value at a given
 // time never depends on evaluation order, so simulations remain
 // reproducible regardless of event interleaving.
+//
+// Every node and channel of one body samples the same heart, so a
+// Generator remembers the clean values of the instants it has recently
+// evaluated (memoSize of them, slotted by sample index) and SampleAt
+// reuses them. A reused value is the one ValueAt computes for that exact
+// instant, so the memo changes no sample. It does make SampleAt mutate the
+// generator: a Generator is not safe for concurrent use. core.Run builds
+// one per run.
 type Generator struct {
 	p      Params
 	period float64
+	memo   [memoSize]memoEntry
+}
+
+// memoSize is the number of clean-signal values a Generator remembers. The
+// table is direct-mapped on the sample index, so it must exceed the index
+// skew between the consumers of one instant: zero under static TDMA,
+// where every node acquires on the same tick, and at most a dozen samples
+// between dynamic-TDMA nodes that joined at different cycles.
+const memoSize = 64
+
+// memoEntry is one remembered instant and its clean value.
+type memoEntry struct {
+	t    float64 // the exact instant; a hit must match it bit for bit
+	v    float64 // ValueAt(t)
+	full bool
 }
 
 // NewGenerator validates params and builds a generator.
@@ -121,9 +144,17 @@ func (g *Generator) ValueAt(t float64) float64 {
 // SampleAt produces the quantised ADC reading of sample index i of
 // channel ch at sampling rate fs, including deterministic per-sample
 // noise. Distinct channels see the same heart with decorrelated noise.
+// The clean value comes from the memo when instant i/fs was evaluated
+// recently; the noise and quantisation are applied on every call.
+//
+//hot:path
 func (g *Generator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	t := float64(i) / fs
-	v := g.ValueAt(t)
+	e := &g.memo[uint64(i)%memoSize]
+	if !e.full || math.Float64bits(e.t) != math.Float64bits(t) {
+		*e = memoEntry{t: t, v: g.ValueAt(t), full: true}
+	}
+	v := e.v
 	if g.p.NoiseAmp > 0 {
 		h := splitmix64(uint64(i)*2654435761 ^ uint64(ch)<<32 ^ uint64(g.p.Seed))
 		v += unit(h) * g.p.NoiseAmp * g.p.Amplitude

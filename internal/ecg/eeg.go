@@ -69,6 +69,8 @@ func (g *EEGGenerator) ValueAt(ch int, t float64) float64 {
 
 // SampleAt produces the quantised ADC reading of sample i on channel ch
 // at rate fs, with deterministic per-sample noise.
+//
+//hot:path
 func (g *EEGGenerator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	t := float64(i) / fs
 	v := g.ValueAt(ch, t)
