@@ -5,9 +5,10 @@
 package app
 
 import (
+	"math"
+
 	"repro/internal/asic"
 	"repro/internal/codec"
-	"repro/internal/ecg"
 	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -50,10 +51,53 @@ func (e Env) validate() {
 	}
 }
 
-// signalSource adapts an ECG generator to the front-end's Source
-// interface at a fixed sampling rate.
-func signalSource(g *ecg.Generator, fs float64) asic.Source {
-	return asic.SourceFunc(func(ch int, i int64) codec.Sample {
-		return g.SampleAt(ch, i, fs)
-	})
+// sampler is a multi-channel signal: the reading of sample i of channel
+// ch at fs Hz (ecg.Generator, ecg.EEGGenerator).
+type sampler interface {
+	SampleAt(ch int, i int64, fs float64) codec.Sample
+}
+
+// acquisition binds an application's signal to its front-end at the
+// application's current sampling rate. It is the front-end's Source: the
+// front-end's acquisition i reads the signal's sample i+offset at fs.
+type acquisition struct {
+	f      *asic.Frontend
+	src    sampler
+	fs     float64
+	offset int64
+}
+
+// acquire configures f to sample channels 0..channels-1 of src at fs and
+// hand each acquisition to h.
+func acquire(f *asic.Frontend, src sampler, fs float64, channels int, h asic.SampleHandler) *acquisition {
+	a := &acquisition{f: f, src: src, fs: fs}
+	enabled := make([]int, channels)
+	for i := range enabled {
+		enabled[i] = i
+	}
+	f.Configure(a, enabled, h)
+	return a
+}
+
+// Sample implements asic.Source.
+func (a *acquisition) Sample(ch int, i int64) codec.Sample {
+	return a.src.SampleAt(ch, i+a.offset, a.fs)
+}
+
+// downshift divides the sampling rate by factor and retunes the
+// front-end; it reports false, changing nothing, for factor <= 1. The
+// front-end's acquisition index keeps counting across the change, so the
+// offset is re-based to keep the signal's time continuous: the next
+// acquisition reads the signal at most one new period after the last one
+// (i/fs alone would jump to about factor times the elapsed signal time).
+func (a *acquisition) downshift(factor float64) bool {
+	if factor <= 1 {
+		return false
+	}
+	next := a.f.SamplesTaken()
+	last := next - 1 + a.offset // signal index of the last acquisition
+	a.fs /= factor
+	a.offset = int64(math.Floor(float64(last)/factor)) + 1 - next
+	a.f.Retune(a.fs)
+	return true
 }

@@ -36,8 +36,9 @@ const channelsPerPacket = 8
 
 // EEGPower is the EEG activity application.
 type EEGPower struct {
-	env Env
-	cfg EEGPowerConfig
+	env    Env
+	acq    *acquisition
+	window float64 // summary period, seconds
 
 	accum     []int64                  // sum of |x - mid| per channel, this window
 	isrs      deferred[[]codec.Sample] // one acquisition's samples each
@@ -73,34 +74,18 @@ func NewEEGPower(env Env, cfg EEGPowerConfig) *EEGPower {
 	if cfg.Signal == nil {
 		panic("app: eeg needs a signal source")
 	}
-	e := &EEGPower{
-		env:    env,
-		cfg:    cfg,
-		accum:  make([]int64, cfg.Channels),
-		perWin: int(cfg.SampleRateHz * cfg.WindowSeconds),
-	}
-	if e.perWin < 1 {
-		e.perWin = 1
-	}
+	e := &EEGPower{env: env, window: cfg.WindowSeconds, accum: make([]int64, cfg.Channels)}
 	e.isrs.run = e.accumulate
 	e.summaries.run = func(w *eegWindow) { e.emit(w.sums, w.n) }
-	channels := make([]int, cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	src := eegSource{src: cfg.Signal, fs: cfg.SampleRateHz}
-	env.Frontend.Configure(src, channels, e.onAcquisition)
+	e.acq = acquire(env.Frontend, cfg.Signal, cfg.SampleRateHz, cfg.Channels, e.onAcquisition)
+	e.sizeWindow()
 	return e
 }
 
-// eegSource adapts an EEGSource to the ASIC's Source interface.
-type eegSource struct {
-	src EEGSource
-	fs  float64
+// sizeWindow sets the samples per window from the current rate.
+func (e *EEGPower) sizeWindow() {
+	e.perWin = max(1, int(e.acq.fs*e.window))
 }
-
-// Sample implements asic.Source.
-func (s eegSource) Sample(ch int, i int64) codec.Sample { return s.src.SampleAt(ch, i, s.fs) }
 
 // Name implements App.
 func (e *EEGPower) Name() string { return "eeg-power" }
@@ -111,7 +96,7 @@ func (e *EEGPower) Start() {
 		return
 	}
 	e.running = true
-	e.env.Frontend.Start(e.cfg.SampleRateHz)
+	e.env.Frontend.Start(e.acq.fs)
 }
 
 // Stop implements App.
@@ -127,20 +112,9 @@ func (e *EEGPower) Stop() {
 // length (perWin shrinks with the rate), so summary packets still flow
 // at the same period but each one integrates fewer samples.
 func (e *EEGPower) Downshift(factor float64) {
-	if factor <= 1 {
-		return
+	if e.acq.downshift(factor) {
+		e.sizeWindow()
 	}
-	e.cfg.SampleRateHz /= factor
-	e.perWin = int(e.cfg.SampleRateHz * e.cfg.WindowSeconds)
-	if e.perWin < 1 {
-		e.perWin = 1
-	}
-	channels := make([]int, e.cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	e.env.Frontend.Configure(eegSource{src: e.cfg.Signal, fs: e.cfg.SampleRateHz}, channels, e.onAcquisition)
-	e.env.Frontend.Retune(e.cfg.SampleRateHz)
 }
 
 // WindowsSummarised reports completed windows.

@@ -27,7 +27,7 @@ const hrvWindowBeats = 16
 // HRV is the on-node HRV analysis application.
 type HRV struct {
 	env Env
-	cfg HRVConfig
+	acq *acquisition
 
 	detector  *ecg.Detector
 	lastBeat  int64 // sample index of the previous beat (-1 = none)
@@ -58,13 +58,12 @@ func NewHRV(env Env, cfg HRVConfig) *HRV {
 	}
 	h := &HRV{
 		env:      env,
-		cfg:      cfg,
 		detector: ecg.NewDetector(cfg.SampleRateHz),
 		lastBeat: -1,
 	}
 	h.isrs.run = h.detect
 	h.summaries.run = func(rrs *[]float64) { h.sendSummary(*rrs) }
-	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), []int{0}, h.onAcquisition)
+	h.acq = acquire(env.Frontend, cfg.Signal, cfg.SampleRateHz, 1, h.onAcquisition)
 	return h
 }
 
@@ -77,7 +76,7 @@ func (h *HRV) Start() {
 		return
 	}
 	h.running = true
-	h.env.Frontend.Start(h.cfg.SampleRateHz)
+	h.env.Frontend.Start(h.acq.fs)
 }
 
 // Stop implements App.
@@ -94,14 +93,11 @@ func (h *HRV) Stop() {
 // corrupt the first interval computed at the new one, so the stream
 // restarts from the next beat instead.
 func (h *HRV) Downshift(factor float64) {
-	if factor <= 1 {
+	if !h.acq.downshift(factor) {
 		return
 	}
-	h.cfg.SampleRateHz /= factor
-	h.detector = ecg.NewDetector(h.cfg.SampleRateHz)
+	h.detector = ecg.NewDetector(h.acq.fs)
 	h.lastBeat = -1
-	h.env.Frontend.Configure(signalSource(h.cfg.Signal, h.cfg.SampleRateHz), []int{0}, h.onAcquisition)
-	h.env.Frontend.Retune(h.cfg.SampleRateHz)
 }
 
 // BeatsDetected reports detected beats.
@@ -141,7 +137,7 @@ func (h *HRV) detect(sample *codec.Sample) {
 	beatAt := idx - int64(lag)
 	h.beats++
 	if h.lastBeat >= 0 {
-		rr := float64(beatAt-h.lastBeat) / h.cfg.SampleRateHz
+		rr := float64(beatAt-h.lastBeat) / h.acq.fs
 		h.rrs = append(h.rrs, rr)
 	}
 	h.lastBeat = beatAt

@@ -27,7 +27,7 @@ type RpeakConfig struct {
 // order of magnitude at the cost of the detector's cycles.
 type Rpeak struct {
 	env Env
-	cfg RpeakConfig
+	acq *acquisition
 
 	detectors []*ecg.Detector
 	isrs      deferred[[]codec.Sample] // one acquisition's samples each
@@ -54,18 +54,14 @@ func NewRpeak(env Env, cfg RpeakConfig) *Rpeak {
 	if cfg.Signal == nil {
 		panic("app: rpeak needs a signal source")
 	}
-	r := &Rpeak{env: env, cfg: cfg}
+	r := &Rpeak{env: env}
 	r.isrs.run = r.detect
 	r.beatPkts.run = r.assemble
 	r.detectors = make([]*ecg.Detector, cfg.Channels)
 	for ch := range r.detectors {
 		r.detectors[ch] = ecg.NewDetector(cfg.SampleRateHz)
 	}
-	channels := make([]int, cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), channels, r.onAcquisition)
+	r.acq = acquire(env.Frontend, cfg.Signal, cfg.SampleRateHz, cfg.Channels, r.onAcquisition)
 	return r
 }
 
@@ -78,7 +74,7 @@ func (r *Rpeak) Start() {
 		return
 	}
 	r.running = true
-	r.env.Frontend.Start(r.cfg.SampleRateHz)
+	r.env.Frontend.Start(r.acq.fs)
 }
 
 // Stop implements App.
@@ -94,19 +90,12 @@ func (r *Rpeak) Stop() {
 // divided rate (their thresholds and refractory windows are calibrated
 // in samples, so they must match the new sampling period).
 func (r *Rpeak) Downshift(factor float64) {
-	if factor <= 1 {
+	if !r.acq.downshift(factor) {
 		return
 	}
-	r.cfg.SampleRateHz /= factor
 	for ch := range r.detectors {
-		r.detectors[ch] = ecg.NewDetector(r.cfg.SampleRateHz)
+		r.detectors[ch] = ecg.NewDetector(r.acq.fs)
 	}
-	channels := make([]int, r.cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	r.env.Frontend.Configure(signalSource(r.cfg.Signal, r.cfg.SampleRateHz), channels, r.onAcquisition)
-	r.env.Frontend.Retune(r.cfg.SampleRateHz)
 }
 
 // BeatsDetected reports beats found across all channels.

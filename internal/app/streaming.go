@@ -28,7 +28,7 @@ const samplesPerPacket = 12
 // slot.
 type Streaming struct {
 	env Env
-	cfg StreamingConfig
+	acq *acquisition
 
 	buf     []codec.Sample
 	isrs    deferred[[]codec.Sample] // one acquisition's samples each
@@ -54,15 +54,10 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
 	}
-	s := &Streaming{env: env, cfg: cfg}
+	s := &Streaming{env: env}
 	s.isrs.run = s.buffer
 	s.batches.run = s.assemble
-
-	channels := make([]int, cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), channels, s.onAcquisition)
+	s.acq = acquire(env.Frontend, cfg.Signal, cfg.SampleRateHz, cfg.Channels, s.onAcquisition)
 	return s
 }
 
@@ -75,7 +70,7 @@ func (s *Streaming) Start() {
 		return
 	}
 	s.running = true
-	s.env.Frontend.Start(s.cfg.SampleRateHz)
+	s.env.Frontend.Start(s.acq.fs)
 }
 
 // Stop implements App.
@@ -92,16 +87,7 @@ func (s *Streaming) Stop() {
 // unit time. The packet format is unchanged — payloads just fill more
 // slowly.
 func (s *Streaming) Downshift(factor float64) {
-	if factor <= 1 {
-		return
-	}
-	s.cfg.SampleRateHz /= factor
-	channels := make([]int, s.cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	s.env.Frontend.Configure(signalSource(s.cfg.Signal, s.cfg.SampleRateHz), channels, s.onAcquisition)
-	s.env.Frontend.Retune(s.cfg.SampleRateHz)
+	s.acq.downshift(factor)
 }
 
 // PacketsSent reports how many payloads were handed to the MAC.
