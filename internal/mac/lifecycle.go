@@ -594,6 +594,7 @@ type beaconCore struct {
 	missed       int
 	window       rxWindow // the beacon listen window
 	joinListenAt sim.Time
+	beacon       packet.Beacon // decode scratch; Entries is reused by the next beacon
 
 	// Steps bound once by bind.
 	windowOpenStep    sim.ArgHandler
@@ -686,8 +687,8 @@ func (c *beaconCore) nextWindowOpen() sim.Time {
 func (c *beaconCore) onFrame(f packet.Frame) {
 	switch {
 	case f.Dest == c.cfg.Plan.Beacon:
-		if b, err := packet.UnmarshalBeacon(f.Payload); err == nil {
-			c.handleBeacon(b, len(f.Payload))
+		if c.beacon.Unmarshal(f.Payload) == nil {
+			c.handleBeacon(&c.beacon, len(f.Payload))
 		}
 	case f.Dest == c.cfg.Plan.NodeAddr(c.cfg.NodeID) && packet.IsAck(f.Payload):
 		if c.ackReceived() && c.ackProcess {
@@ -698,7 +699,9 @@ func (c *beaconCore) onFrame(f packet.Frame) {
 
 // handleBeacon runs (in interrupt context) after the beacon's FIFO
 // drain: it resynchronises, scans the grants, and schedules the cycle.
-func (c *beaconCore) handleBeacon(b packet.Beacon, payloadLen int) {
+// b is the core's decode scratch: nothing may keep b.Entries past the
+// call.
+func (c *beaconCore) handleBeacon(b *packet.Beacon, payloadLen int) {
 	now := c.k.Now()
 	frameEnd := c.radio.LastRxFrameEnd()
 	airStart := frameEnd - c.cfg.Profile.Radio.Airtime(payloadLen)

@@ -254,7 +254,7 @@ func runBeaconParse(t *testing.T, payload []byte, myID uint8) (cycle int32, slot
 }
 
 // TestVMBeaconParseMatchesCodec: the assembly parser extracts the same
-// fields as packet.UnmarshalBeacon.
+// fields as packet.Beacon.Unmarshal.
 func TestVMBeaconParseMatchesCodec(t *testing.T) {
 	b := packet.Beacon{
 		Seq:         77,
@@ -274,7 +274,7 @@ func TestVMBeaconParseMatchesCodec(t *testing.T) {
 	if !ok || slot != -1 {
 		t.Fatalf("absent node: slot=%d ok=%v", slot, ok)
 	}
-	// A non-beacon kind is rejected, like UnmarshalBeacon.
+	// A non-beacon kind is rejected, like Beacon.Unmarshal.
 	bad := append([]byte(nil), payload...)
 	bad[0] = 0x52
 	if _, _, ok, _ = runBeaconParse(t, bad, 5); ok {

@@ -95,4 +95,14 @@ func TestScratchPathsAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Beacon.AppendMarshal allocates %v per run", n)
 	}
+	payload := b.Marshal()
+	var decoded Beacon
+	if err := decoded.Unmarshal(payload); err != nil { // grows Entries once
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = decoded.Unmarshal(payload)
+	}); n != 0 {
+		t.Fatalf("Beacon.Unmarshal with %d entries allocates %v per run", len(b.Entries), n)
+	}
 }

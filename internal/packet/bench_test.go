@@ -30,9 +30,10 @@ func BenchmarkBeaconMarshal(b *testing.B) {
 	b.ReportAllocs()
 	bec := Beacon{Seq: 7, CycleMicros: 60000,
 		Entries: []SlotEntry{{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}}}
+	var out Beacon
 	for i := 0; i < b.N; i++ {
 		p := bec.Marshal()
-		if _, err := UnmarshalBeacon(p); err != nil {
+		if err := out.Unmarshal(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -219,27 +219,37 @@ func (b Beacon) EncodedBytes() int {
 	return BeaconBaseBytes + SlotEntryBytes*len(b.Entries)
 }
 
-// UnmarshalBeacon decodes a beacon payload.
-func UnmarshalBeacon(p []byte) (Beacon, error) {
+// Beacon decode errors.
+var (
+	ErrNotBeacon       = errors.New("packet: payload is not a beacon")
+	ErrBeaconTruncated = errors.New("packet: beacon payload shorter than its header and entry table")
+)
+
+// Unmarshal decodes a beacon payload into b, reusing b.Entries' backing
+// array, so a receiver that keeps one Beacon decodes without allocating
+// once the array has grown to the largest table seen. The entries are
+// overwritten by the next Unmarshal into b. On error b is unchanged.
+//
+//hot:path
+func (b *Beacon) Unmarshal(p []byte) error {
 	if len(p) < BeaconBaseBytes {
-		return Beacon{}, fmt.Errorf("packet: beacon payload %d bytes, need >= %d", len(p), BeaconBaseBytes)
+		return ErrBeaconTruncated
 	}
 	if Kind(p[0]) != KindBeacon {
-		return Beacon{}, fmt.Errorf("packet: kind 0x%02x is not a beacon", p[0])
-	}
-	b := Beacon{
-		Seq:         binary.BigEndian.Uint16(p[1:3]),
-		CycleMicros: binary.BigEndian.Uint32(p[3:7]),
+		return ErrNotBeacon
 	}
 	n := int(p[7])
 	if len(p) < BeaconBaseBytes+SlotEntryBytes*n {
-		return Beacon{}, fmt.Errorf("packet: beacon declares %d entries but payload is %d bytes", n, len(p))
+		return ErrBeaconTruncated
 	}
+	b.Seq = binary.BigEndian.Uint16(p[1:3])
+	b.CycleMicros = binary.BigEndian.Uint32(p[3:7])
+	b.Entries = b.Entries[:0]
 	for i := 0; i < n; i++ {
 		off := BeaconBaseBytes + SlotEntryBytes*i
 		b.Entries = append(b.Entries, SlotEntry{NodeID: p[off], Slot: p[off+1]})
 	}
-	return b, nil
+	return nil
 }
 
 // SSR is a slot request: the join handshake of both TDMA variants

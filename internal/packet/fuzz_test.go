@@ -28,14 +28,15 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzUnmarshalBeacon: arbitrary payloads never crash, and successfully
-// parsed beacons re-marshal to a prefix-equal payload.
+// parsed beacons re-marshal to a prefix-equal payload — also when the
+// decode reuses a beacon already holding a longer entry table.
 func FuzzUnmarshalBeacon(f *testing.F) {
 	f.Add(Beacon{Seq: 1, CycleMicros: 30000}.Marshal())
 	f.Add(Beacon{Seq: 9, CycleMicros: 60000, Entries: []SlotEntry{{1, 0}}}.Marshal())
 	f.Add([]byte{0xB1, 0, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		b, err := UnmarshalBeacon(payload)
-		if err != nil {
+		b := Beacon{Entries: []SlotEntry{{7, 7}, {8, 8}, {9, 9}}}
+		if err := b.Unmarshal(payload); err != nil {
 			return
 		}
 		out := b.Marshal()

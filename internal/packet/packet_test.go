@@ -149,8 +149,8 @@ func TestBeaconRoundTrip(t *testing.T) {
 		CycleMicros: 60000,
 		Entries:     []SlotEntry{{NodeID: 5, Slot: 2}, {NodeID: 9, Slot: 4}},
 	}
-	out, err := UnmarshalBeacon(in.Marshal())
-	if err != nil {
+	var out Beacon
+	if err := out.Unmarshal(in.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	if out.Seq != in.Seq || out.CycleMicros != in.CycleMicros || len(out.Entries) != 2 {
@@ -164,17 +164,44 @@ func TestBeaconRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalBeaconErrors(t *testing.T) {
-	if _, err := UnmarshalBeacon([]byte{1, 2}); err == nil {
-		t.Fatalf("short payload accepted")
+	kept := Beacon{Seq: 5, CycleMicros: 30000, Entries: []SlotEntry{{1, 0}}}
+	b := kept
+	if err := b.Unmarshal([]byte{1, 2}); err != ErrBeaconTruncated {
+		t.Fatalf("short payload: err = %v", err)
 	}
-	if _, err := UnmarshalBeacon(SSR{NodeID: 1}.Marshal()); err == nil {
-		t.Fatalf("SSR payload accepted as beacon")
+	wrongKind := kept.Marshal()
+	wrongKind[0] = byte(KindSSR)
+	if err := b.Unmarshal(wrongKind); err != ErrNotBeacon {
+		t.Fatalf("SSR kind as beacon: err = %v", err)
 	}
 	// Declared entry count exceeding the payload length.
-	b := Beacon{Seq: 1, CycleMicros: 1}.Marshal()
-	b[7] = 9
-	if _, err := UnmarshalBeacon(b); err == nil {
-		t.Fatalf("truncated entry table accepted")
+	p := Beacon{Seq: 1, CycleMicros: 1}.Marshal()
+	p[7] = 9
+	if err := b.Unmarshal(p); err != ErrBeaconTruncated {
+		t.Fatalf("truncated entry table: err = %v", err)
+	}
+	if b.Seq != kept.Seq || b.CycleMicros != kept.CycleMicros || len(b.Entries) != 1 || b.Entries[0] != kept.Entries[0] {
+		t.Fatalf("failed decodes changed the beacon: %+v", b)
+	}
+}
+
+// TestUnmarshalBeaconReusesEntries: a decode into a beacon holding a
+// longer table truncates it and writes into the same backing array.
+func TestUnmarshalBeaconReusesEntries(t *testing.T) {
+	b := Beacon{Entries: make([]SlotEntry, 5, 8)}
+	backing := &b.Entries[:1][0]
+	in := Beacon{Seq: 2, CycleMicros: 60000, Entries: []SlotEntry{{4, 1}, {6, 3}}}
+	if err := b.Unmarshal(in.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Entries) != 2 || b.Entries[0] != in.Entries[0] || b.Entries[1] != in.Entries[1] {
+		t.Fatalf("entries = %+v, want %+v", b.Entries, in.Entries)
+	}
+	if &b.Entries[0] != backing {
+		t.Fatal("Unmarshal did not reuse the entries' backing array")
+	}
+	if err := b.Unmarshal(Beacon{Seq: 3, CycleMicros: 30000}.Marshal()); err != nil || len(b.Entries) != 0 {
+		t.Fatalf("entry-free beacon left %d entries (err %v)", len(b.Entries), err)
 	}
 }
 
@@ -189,7 +216,8 @@ func TestQuickBeaconRoundTrip(t *testing.T) {
 		for _, r := range raw {
 			in.Entries = append(in.Entries, SlotEntry{NodeID: uint8(r >> 8), Slot: uint8(r)})
 		}
-		out, err := UnmarshalBeacon(in.Marshal())
+		var out Beacon
+		err := out.Unmarshal(in.Marshal())
 		if err != nil || out.Seq != in.Seq || out.CycleMicros != in.CycleMicros ||
 			len(out.Entries) != len(in.Entries) {
 			return false
