@@ -17,16 +17,17 @@ func newFrontend() (*sim.Kernel, *Frontend, *energy.Ledger) {
 	return k, f, l
 }
 
-func countingSource() Source {
-	return SourceFunc(func(ch int, i int64) codec.Sample {
-		return codec.Sample(uint16(i)+uint16(ch)*1000) & codec.MaxSample
-	})
+// countingSource reads sample i of channel ch as i + 1000*ch.
+type countingSource struct{}
+
+func (countingSource) Sample(ch int, i int64) codec.Sample {
+	return codec.Sample(uint16(i)+uint16(ch)*1000) & codec.MaxSample
 }
 
 func TestSamplingRateAndChannelOrder(t *testing.T) {
 	k, f, _ := newFrontend()
 	var got [][]codec.Sample
-	f.Configure(countingSource(), []int{0, 1}, func(i int64, s []codec.Sample) {
+	f.Configure(countingSource{}, []int{0, 1}, func(i int64, s []codec.Sample) {
 		got = append(got, append([]codec.Sample(nil), s...))
 	})
 	f.Start(200)
@@ -53,7 +54,7 @@ func TestPaperSamplingRates(t *testing.T) {
 	} {
 		k, f, _ := newFrontend()
 		n := 0
-		f.Configure(countingSource(), []int{0, 1}, func(int64, []codec.Sample) { n++ })
+		f.Configure(countingSource{}, []int{0, 1}, func(int64, []codec.Sample) { n++ })
 		f.Start(c.fs)
 		k.RunUntil(60 * sim.Second)
 		if math.Abs(float64(n-c.want)) > 1 {
@@ -64,7 +65,7 @@ func TestPaperSamplingRates(t *testing.T) {
 
 func TestConstantPowerWhileOn(t *testing.T) {
 	k, f, l := newFrontend()
-	f.Configure(countingSource(), []int{0}, func(int64, []codec.Sample) {})
+	f.Configure(countingSource{}, []int{0}, func(int64, []codec.Sample) {})
 	f.Start(100)
 	k.RunUntil(60 * sim.Second)
 	f.Stop()
@@ -88,7 +89,7 @@ func TestOffDrawsNothing(t *testing.T) {
 func TestStopHaltsSampling(t *testing.T) {
 	k, f, _ := newFrontend()
 	n := 0
-	f.Configure(countingSource(), []int{0}, func(int64, []codec.Sample) { n++ })
+	f.Configure(countingSource{}, []int{0}, func(int64, []codec.Sample) { n++ })
 	f.Start(100)
 	k.RunUntil(sim.Second)
 	f.Stop()
@@ -108,18 +109,18 @@ func TestConfigValidation(t *testing.T) {
 		fn   func(f *Frontend)
 	}{
 		{"no channels", func(f *Frontend) {
-			f.Configure(countingSource(), nil, func(int64, []codec.Sample) {})
+			f.Configure(countingSource{}, nil, func(int64, []codec.Sample) {})
 		}},
 		{"channel out of range", func(f *Frontend) {
-			f.Configure(countingSource(), []int{99}, func(int64, []codec.Sample) {})
+			f.Configure(countingSource{}, []int{99}, func(int64, []codec.Sample) {})
 		}},
 		{"start before configure", func(f *Frontend) { f.Start(100) }},
 		{"bad rate", func(f *Frontend) {
-			f.Configure(countingSource(), []int{0}, func(int64, []codec.Sample) {})
+			f.Configure(countingSource{}, []int{0}, func(int64, []codec.Sample) {})
 			f.Start(0)
 		}},
 		{"double start", func(f *Frontend) {
-			f.Configure(countingSource(), []int{0}, func(int64, []codec.Sample) {})
+			f.Configure(countingSource{}, []int{0}, func(int64, []codec.Sample) {})
 			f.Start(100)
 			f.Start(100)
 		}},
