@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -166,18 +167,18 @@ func TestBeaconRoundTrip(t *testing.T) {
 func TestUnmarshalBeaconErrors(t *testing.T) {
 	kept := Beacon{Seq: 5, CycleMicros: 30000, Entries: []SlotEntry{{1, 0}}}
 	b := kept
-	if err := b.Unmarshal([]byte{1, 2}); err != ErrBeaconTruncated {
+	if err := b.Unmarshal([]byte{1, 2}); !errors.Is(err, ErrBeaconTruncated) {
 		t.Fatalf("short payload: err = %v", err)
 	}
 	wrongKind := kept.Marshal()
 	wrongKind[0] = byte(KindSSR)
-	if err := b.Unmarshal(wrongKind); err != ErrNotBeacon {
+	if err := b.Unmarshal(wrongKind); !errors.Is(err, ErrNotBeacon) {
 		t.Fatalf("SSR kind as beacon: err = %v", err)
 	}
 	// Declared entry count exceeding the payload length.
 	p := Beacon{Seq: 1, CycleMicros: 1}.Marshal()
 	p[7] = 9
-	if err := b.Unmarshal(p); err != ErrBeaconTruncated {
+	if err := b.Unmarshal(p); !errors.Is(err, ErrBeaconTruncated) {
 		t.Fatalf("truncated entry table: err = %v", err)
 	}
 	if b.Seq != kept.Seq || b.CycleMicros != kept.CycleMicros || len(b.Entries) != 1 || b.Entries[0] != kept.Entries[0] {
