@@ -85,6 +85,11 @@ func TestScratchPathsAllocateNothing(t *testing.T) {
 	}
 	image := f.Encode()
 	if n := testing.AllocsPerRun(100, func() {
+		_ = CRC16(image)
+	}); n != 0 {
+		t.Fatalf("CRC16 allocates %v per run", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
 		_, _, _ = DecodeInPlace(image)
 	}); n != 0 {
 		t.Fatalf("DecodeInPlace allocates %v per run", n)

@@ -3,23 +3,63 @@ package packet
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// crcVectors are CRC-16/CCITT-FALSE reference vectors (poly 0x1021,
+// init 0xFFFF).
+var crcVectors = []struct {
+	in   string
+	want uint16
+}{
+	{"", 0xFFFF},
+	{"123456789", 0x29B1},
+	{"A", 0xB915},
+}
+
 func TestCRC16KnownVectors(t *testing.T) {
-	// CRC-16/CCITT-FALSE reference vectors (poly 0x1021, init 0xFFFF).
-	cases := []struct {
-		in   string
-		want uint16
-	}{
-		{"", 0xFFFF},
-		{"123456789", 0x29B1},
-		{"A", 0xB915},
-	}
-	for _, c := range cases {
+	for _, c := range crcVectors {
 		if got := CRC16([]byte(c.in)); got != c.want {
 			t.Errorf("CRC16(%q) = 0x%04X, want 0x%04X", c.in, got, c.want)
+		}
+	}
+}
+
+// crc16Bitwise is the bit-serial CRC-16-CCITT register, one polynomial
+// step per input bit: the reference the table-driven CRC16 must equal.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+// TestCRC16MatchesBitwiseReference checks the table-driven CRC against
+// the bit-serial register on the known vectors and on 10k random inputs
+// of 0 to 64 bytes.
+func TestCRC16MatchesBitwiseReference(t *testing.T) {
+	for _, c := range crcVectors {
+		if got := crc16Bitwise([]byte(c.in)); got != c.want {
+			t.Fatalf("reference CRC(%q) = 0x%04X, want 0x%04X", c.in, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 64)
+	for i := 0; i < 10000; i++ {
+		data := buf[:rng.Intn(len(buf)+1)]
+		rng.Read(data)
+		if got, want := CRC16(data), crc16Bitwise(data); got != want {
+			t.Fatalf("CRC16(%x) = 0x%04X, bitwise reference 0x%04X", data, got, want)
 		}
 	}
 }
