@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/mac"
 	"repro/internal/metrics"
@@ -202,7 +203,7 @@ func BenchmarkAblationControlPackets(b *testing.B) {
 			b.Fatal(err)
 		}
 		n := res.Node()
-		controlShare = n.Energy.Losses["control-overhead"] * 1e3 / n.RadioMJ() * 100
+		controlShare = n.Energy.Losses[energy.LossControl] * 1e3 / n.RadioMJ() * 100
 	}
 	b.ReportMetric(controlShare, "controlShare%")
 }

@@ -336,18 +336,21 @@ func printText(res core.Results) {
 	fmt.Printf("BAN: %d node(s), mac=%s, app=%s, window=%v (joined all: %v)\n\n",
 		res.Config.Nodes, res.Config.Protocol, res.Config.App,
 		res.Config.Duration, res.JoinedAll)
+	// The state tables list each component's states in print order;
+	// their names do not depend on the profile's draws.
+	prof := platform.IMEC()
 	for _, n := range res.Nodes {
 		fmt.Printf("%s  (slot energy over %v)\n", n.Name, res.Config.Duration)
 		fmt.Printf("  radio %8.2f mJ   mcu %8.2f mJ   asic %8.2f mJ   total %8.2f mJ\n",
 			n.RadioMJ(), n.MCUMJ(), n.ASICMJ(), n.Energy.TotalMJ())
 		for _, comp := range n.Energy.Components {
 			fmt.Printf("  %-6s:", comp.Name)
-			for _, st := range orderedStates(comp) {
-				sr := comp.States[st]
+			for _, st := range prof.States(comp.Name) {
+				sr := comp.States[st.Name]
 				if sr.Time == 0 {
 					continue
 				}
-				fmt.Printf("  %s=%.1fms/%.3fmJ", st, sr.Time.Seconds()*1e3, sr.EnergyJ*1e3)
+				fmt.Printf("  %s=%.1fms/%.3fmJ", st.Name, sr.Time.Seconds()*1e3, sr.EnergyJ*1e3)
 			}
 			fmt.Println()
 		}
@@ -403,21 +406,6 @@ func printText(res core.Results) {
 		fmt.Println()
 		fmt.Print(s)
 	}
-}
-
-func orderedStates(c energy.ComponentReport) []energy.State {
-	var order []energy.State
-	switch c.Name {
-	case platform.ComponentRadio:
-		order = []energy.State{platform.StateRadioRX, platform.StateRadioTX,
-			platform.StateRadioStandby, platform.StateRadioOff}
-	case platform.ComponentMCU:
-		order = []energy.State{platform.StateMCUActive, platform.StateMCUPowerSave,
-			platform.StateMCULPM2, platform.StateMCULPM3, platform.StateMCULPM4}
-	default:
-		order = []energy.State{platform.StateASICOn, platform.StateASICOff}
-	}
-	return order
 }
 
 // jsonResult flattens the results for machine consumption.
@@ -478,7 +466,7 @@ func printJSON(res core.Results) {
 			Battery:      n.Battery,
 		}
 		for cat, j := range n.Energy.Losses {
-			jn.Losses[string(cat)] = j * 1e3
+			jn.Losses[cat.String()] = j * 1e3
 		}
 		out.Nodes = append(out.Nodes, jn)
 	}

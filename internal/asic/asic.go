@@ -49,10 +49,7 @@ type Frontend struct {
 // New creates a front-end and registers its meter. The ASIC starts
 // powered off.
 func New(k *sim.Kernel, params platform.ASICParams, ledger *energy.Ledger) *Frontend {
-	meter := energy.NewMeter(platform.ComponentASIC, map[energy.State]energy.Draw{
-		platform.StateASICOn:  {CurrentA: params.PowerW / params.VoltageV, VoltageV: params.VoltageV},
-		platform.StateASICOff: {},
-	})
+	meter := energy.NewMeter(platform.ComponentASIC, params.States())
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateASICOff)
 	f := &Frontend{k: k, params: params, meter: meter}

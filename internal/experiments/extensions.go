@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/mac"
 	"repro/internal/platform"
 	"repro/internal/runner"
@@ -81,7 +82,7 @@ func Extensions(o Options) (ExtensionResults, error) {
 	hi, lo := node(0), node(1)
 	out.MCUShareHighHz = hi.MCUMJ() / hi.TotalMJ() * 100
 	out.MCUShareLowHz = lo.MCUMJ() / lo.TotalMJ() * 100
-	out.ControlShare = hi.Energy.Losses["control-overhead"] * 1e3 / hi.RadioMJ() * 100
+	out.ControlShare = hi.Energy.Losses[energy.LossControl] * 1e3 / hi.RadioMJ() * 100
 	out.StreamingTotalMJ = hi.TotalMJ() * o.scale()
 
 	crystal, dco := node(2), node(3)

@@ -48,16 +48,7 @@ type MCU struct {
 // New creates an MCU, registers its energy meter on the ledger and starts
 // it in the power-save state at the kernel's current instant.
 func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
-	v := params.VoltageV
-	meter := energy.NewMeter(platform.ComponentMCU, map[energy.State]energy.Draw{
-		platform.StateMCUOff:       {},
-		platform.StateMCUActive:    {CurrentA: params.ActiveA, VoltageV: v},
-		platform.StateMCUPowerSave: {CurrentA: params.PowerSaveA, VoltageV: v},
-		platform.StateMCULPM1:      {CurrentA: params.DeepModesA[0], VoltageV: v},
-		platform.StateMCULPM2:      {CurrentA: params.DeepModesA[1], VoltageV: v},
-		platform.StateMCULPM3:      {CurrentA: params.DeepModesA[2], VoltageV: v},
-		platform.StateMCULPM4:      {CurrentA: params.DeepModesA[3], VoltageV: v},
-	})
+	meter := energy.NewMeter(platform.ComponentMCU, params.States())
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateMCUPowerSave)
 	m := &MCU{
@@ -90,7 +81,7 @@ func (m *MCU) SetSleepState(s energy.State) {
 	case platform.StateMCUPowerSave, platform.StateMCULPM1,
 		platform.StateMCULPM2, platform.StateMCULPM3, platform.StateMCULPM4:
 	default:
-		panic(fmt.Sprintf("mcu: %q is not a sleep state", s))
+		panic(fmt.Sprintf("mcu: %q is not a sleep state", m.meter.StateName(s)))
 	}
 	m.sleepState = s
 	if m.sleeping {

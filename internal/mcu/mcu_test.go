@@ -149,8 +149,9 @@ func TestSetSleepState(t *testing.T) {
 func TestSetSleepStateRejectsActive(t *testing.T) {
 	_, m, _ := newMCU(t)
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("active as sleep state did not panic")
+		const want = `mcu: "active" is not a sleep state`
+		if r := recover(); r != want {
+			t.Fatalf("active as sleep state panicked with %v, want %q", r, want)
 		}
 	}()
 	m.SetSleepState(platform.StateMCUActive)

@@ -87,11 +87,11 @@ func Assemble(rec *Recorder, energies []NodeEnergy, extraStates []StateRow, extr
 		for _, comp := range ne.Report.Components {
 			states := make([]string, 0, len(comp.States))
 			for st := range comp.States {
-				states = append(states, string(st))
+				states = append(states, st)
 			}
 			sort.Strings(states)
 			for _, st := range states {
-				sr := comp.States[energy.State(st)]
+				sr := comp.States[st]
 				s.States = append(s.States, StateRow{
 					Node:      ne.Node,
 					Component: comp.Name,
@@ -106,7 +106,7 @@ func Assemble(rec *Recorder, energies []NodeEnergy, extraStates []StateRow, extr
 				s.States = append(s.States, StateRow{
 					Node:      ne.Node,
 					Component: "loss",
-					State:     string(cat),
+					State:     cat.String(),
 					EnergyMJ:  j * 1e3,
 				})
 			}

@@ -19,7 +19,10 @@
 // derivations are in DESIGN.md §5 and EXPERIMENTS.md.
 package platform
 
-import "repro/internal/sim"
+import (
+	"repro/internal/energy"
+	"repro/internal/sim"
+)
 
 // MCUParams describes the microcontroller's electrical operating points
 // and clocking.
@@ -390,27 +393,80 @@ const (
 	ComponentASIC  = "asic"
 )
 
-// MCU power-state names.
+// MCU power states: indices into the MCU meter's state table
+// (MCUParams.States).
 const (
-	StateMCUOff       = "off"
-	StateMCUActive    = "active"
-	StateMCUPowerSave = "power-save"
-	StateMCULPM1      = "lpm1"
-	StateMCULPM2      = "lpm2"
-	StateMCULPM3      = "lpm3"
-	StateMCULPM4      = "lpm4"
+	StateMCUActive energy.State = iota
+	StateMCUPowerSave
+	StateMCULPM1
+	StateMCULPM2
+	StateMCULPM3
+	StateMCULPM4
+	StateMCUOff
 )
 
-// Radio power-state names.
+// Radio power states: indices into the radio meter's state table
+// (RadioParams.States).
 const (
-	StateRadioOff     = "off"
-	StateRadioStandby = "standby"
-	StateRadioTX      = "tx"
-	StateRadioRX      = "rx"
+	StateRadioRX energy.State = iota
+	StateRadioTX
+	StateRadioStandby
+	StateRadioOff
 )
 
-// ASIC power-state names.
+// ASIC power states: indices into the ASIC meter's state table
+// (ASICParams.States).
 const (
-	StateASICOn  = "on"
-	StateASICOff = "off"
+	StateASICOn energy.State = iota
+	StateASICOff
 )
+
+// States is the MCU meter's state table, indexed by the StateMCU*
+// constants.
+func (m MCUParams) States() []energy.StateSpec {
+	v := m.VoltageV
+	return []energy.StateSpec{
+		StateMCUActive:    {Name: "active", Draw: energy.Draw{CurrentA: m.ActiveA, VoltageV: v}},
+		StateMCUPowerSave: {Name: "power-save", Draw: energy.Draw{CurrentA: m.PowerSaveA, VoltageV: v}},
+		StateMCULPM1:      {Name: "lpm1", Draw: energy.Draw{CurrentA: m.DeepModesA[0], VoltageV: v}},
+		StateMCULPM2:      {Name: "lpm2", Draw: energy.Draw{CurrentA: m.DeepModesA[1], VoltageV: v}},
+		StateMCULPM3:      {Name: "lpm3", Draw: energy.Draw{CurrentA: m.DeepModesA[2], VoltageV: v}},
+		StateMCULPM4:      {Name: "lpm4", Draw: energy.Draw{CurrentA: m.DeepModesA[3], VoltageV: v}},
+		StateMCUOff:       {Name: "off"},
+	}
+}
+
+// States is the radio meter's state table, indexed by the StateRadio*
+// constants.
+func (r RadioParams) States() []energy.StateSpec {
+	v := r.VoltageV
+	return []energy.StateSpec{
+		StateRadioRX:      {Name: "rx", Draw: energy.Draw{CurrentA: r.RxA, VoltageV: v}},
+		StateRadioTX:      {Name: "tx", Draw: energy.Draw{CurrentA: r.TxA, VoltageV: v}},
+		StateRadioStandby: {Name: "standby", Draw: energy.Draw{CurrentA: r.StandbyA, VoltageV: v}},
+		StateRadioOff:     {Name: "off"},
+	}
+}
+
+// States is the ASIC meter's state table, indexed by the StateASIC*
+// constants.
+func (a ASICParams) States() []energy.StateSpec {
+	return []energy.StateSpec{
+		StateASICOn:  {Name: "on", Draw: energy.Draw{CurrentA: a.PowerW / a.VoltageV, VoltageV: a.VoltageV}},
+		StateASICOff: {Name: "off"},
+	}
+}
+
+// States returns the state table of the named component's meter, in
+// table order, or nil for an unknown component.
+func (p Profile) States(component string) []energy.StateSpec {
+	switch component {
+	case ComponentMCU:
+		return p.MCU.States()
+	case ComponentRadio:
+		return p.Radio.States()
+	case ComponentASIC:
+		return p.ASIC.States()
+	}
+	return nil
+}

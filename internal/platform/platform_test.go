@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
@@ -178,5 +179,42 @@ func TestMaxPayloadFitsFIFO(t *testing.T) {
 	totalBits := 8 * (r.AddressBytes + r.MaxPayloadBytes + r.CRCBytes)
 	if totalBits > 256 {
 		t.Fatalf("max frame %d bits exceeds the 256-bit ShockBurst FIFO", totalBits)
+	}
+}
+
+// TestStateTables checks every component's state table: each index
+// constant names the expected state, and the table builds a meter (no
+// gaps, no duplicate names).
+func TestStateTables(t *testing.T) {
+	p := IMEC()
+	cases := []struct {
+		component string
+		state     energy.State
+		name      string
+		n         int
+	}{
+		{ComponentMCU, StateMCUActive, "active", 7},
+		{ComponentMCU, StateMCUPowerSave, "power-save", 7},
+		{ComponentMCU, StateMCULPM4, "lpm4", 7},
+		{ComponentMCU, StateMCUOff, "off", 7},
+		{ComponentRadio, StateRadioRX, "rx", 4},
+		{ComponentRadio, StateRadioOff, "off", 4},
+		{ComponentASIC, StateASICOn, "on", 2},
+		{ComponentASIC, StateASICOff, "off", 2},
+	}
+	for _, c := range cases {
+		table := p.States(c.component)
+		if len(table) != c.n {
+			t.Fatalf("%s: %d states, want %d", c.component, len(table), c.n)
+		}
+		if got := energy.NewMeter(c.component, table).StateName(c.state); got != c.name {
+			t.Fatalf("%s state %d is %q, want %q", c.component, c.state, got, c.name)
+		}
+	}
+	if p.States("gps") != nil {
+		t.Fatal("unknown component has a state table")
+	}
+	if d := p.States(ComponentASIC)[StateASICOn].Draw; !approx(d.Power(), p.ASIC.PowerW, 1e-15) {
+		t.Fatalf("ASIC on draws %v W, want %v", d.Power(), p.ASIC.PowerW)
 	}
 }

@@ -142,13 +142,7 @@ type Radio struct {
 // medium. The radio starts powered down.
 func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Channel,
 	sched *tinyos.Sched, ledger *energy.Ledger, tracer *metrics.Recorder) *Radio {
-	v := params.VoltageV
-	meter := energy.NewMeter(platform.ComponentRadio, map[energy.State]energy.Draw{
-		platform.StateRadioOff:     {},
-		platform.StateRadioStandby: {CurrentA: params.StandbyA, VoltageV: v},
-		platform.StateRadioTX:      {CurrentA: params.TxA, VoltageV: v},
-		platform.StateRadioRX:      {CurrentA: params.RxA, VoltageV: v},
-	})
+	meter := energy.NewMeter(platform.ComponentRadio, params.States())
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateRadioOff)
 	r := &Radio{
