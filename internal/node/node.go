@@ -47,6 +47,9 @@ type Sensor struct {
 	k          *sim.Kernel
 	tracer     *metrics.Recorder
 	onBrownout func()
+	// onPoll is s.pollBattery bound once, so the recurring battery poll
+	// allocates nothing.
+	onPoll sim.ArgHandler
 }
 
 // SensorConfig describes one sensor build.
@@ -98,6 +101,7 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder, cfg
 	}
 	if cfg.Battery != nil {
 		s.Bat = battery.NewState(*cfg.Battery, cfg.BrownoutV, cfg.Degrade, k.Now())
+		s.onPoll = s.pollBattery
 	}
 	return s
 }
@@ -132,7 +136,7 @@ func (s *Sensor) Start() {
 	s.Mac.OnJoined(func() { s.App.Start() })
 	s.Mac.Start()
 	if s.Bat != nil {
-		s.k.Schedule(batteryPollInterval, func(*sim.Kernel) { s.pollBattery() })
+		s.k.ScheduleArg(s.k.Now()+batteryPollInterval, s.onPoll, 0)
 	}
 }
 
@@ -140,14 +144,14 @@ func (s *Sensor) Start() {
 // cadence. The chain survives injected crash/reboot cycles (a powered-
 // off node draws ~nothing, so the debits are near-zero) and ends only
 // when the battery browns out.
-func (s *Sensor) pollBattery() {
-	if s.Bat == nil || s.Bat.Dead() {
+func (s *Sensor) pollBattery(k *sim.Kernel, _ uint64) {
+	if s.Bat.Dead() {
 		return
 	}
-	if s.settleBattery(s.k.Now()) {
+	if s.settleBattery(k.Now()) {
 		return // browned out: the node is gone for the rest of the run
 	}
-	s.k.Schedule(batteryPollInterval, func(*sim.Kernel) { s.pollBattery() })
+	k.ScheduleArg(k.Now()+batteryPollInterval, s.onPoll, 0)
 }
 
 // settleBattery flushes the ledger, debits the battery and applies any
